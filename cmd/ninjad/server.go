@@ -16,6 +16,16 @@ import (
 	"repro/internal/jobs"
 )
 
+// HTTP server timeouts. A client gets readHeaderTimeout to send its
+// request headers and a keep-alive connection is closed after idleTimeout
+// without a request, so slow or stalled clients cannot pin connections
+// (slowloris). There is no write timeout: a GET /jobs/{id}/events?follow=1
+// stream stays open for as long as the job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // daemon ties the durable job manager to its HTTP surface.
 type daemon struct {
 	mgr  *jobs.Manager
@@ -51,7 +61,11 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		return nil, err
 	}
 	d := &daemon{mgr: mgr, logf: cfg.Logf}
-	d.srv = &http.Server{Handler: d.routes()}
+	d.srv = &http.Server{
+		Handler:           d.routes(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		return nil, err

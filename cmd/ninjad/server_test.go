@@ -381,3 +381,18 @@ func TestDirectiveSpecDefaults(t *testing.T) {
 		}
 	}
 }
+
+// The HTTP server bounds header reads and idle keep-alives, but never
+// writes: a follow stream must outlive any fixed write deadline.
+func TestServerTimeouts(t *testing.T) {
+	d := startDaemon(t, t.TempDir())
+	if got := d.srv.ReadHeaderTimeout; got != readHeaderTimeout || got <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+	if got := d.srv.IdleTimeout; got != idleTimeout || got <= 0 {
+		t.Errorf("IdleTimeout = %v, want %v", got, idleTimeout)
+	}
+	if got := d.srv.WriteTimeout; got != 0 {
+		t.Errorf("WriteTimeout = %v, want 0 (follow streams stay open)", got)
+	}
+}

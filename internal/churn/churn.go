@@ -22,8 +22,8 @@
 // Everything runs on the simulated clock from one per-run PRNG: the
 // whole arrival schedule is drawn up front in a fixed order, decisions
 // iterate slices (never maps), and mini-plans execute at the sequencer's
-// predicted batch times — so a run is byte-identical across kernel
-// backends and host parallelism.
+// predicted batch times — so a run is byte-identical across repeat runs
+// and host parallelism.
 package churn
 
 import (

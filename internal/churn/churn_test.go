@@ -18,8 +18,8 @@ type rig struct {
 	topo *fleet.Topology
 }
 
-func newRig(backend sim.Backend, nfs float64) *rig {
-	k := sim.NewKernelWith(sim.Options{Backend: backend})
+func newRig(nfs float64) *rig {
+	k := sim.NewKernel()
 	tb := hw.NewTestbed(k)
 	ib := tb.AddCluster("ib", 4, hw.AGCNodeSpec)
 	ethSpec := hw.AGCNodeSpec
@@ -44,9 +44,15 @@ func defaultWorkload(seed int64) Workload {
 	}
 }
 
-func runOnce(t *testing.T, backend sim.Backend, opts Options) Report {
+func runOnce(t *testing.T, opts Options) Report {
 	t.Helper()
-	r := newRig(backend, 0)
+	return runOn(t, newRig(0), opts)
+}
+
+// runOn runs the engine to completion on an already built rig and closes
+// its kernel.
+func runOn(t *testing.T, r *rig, opts Options) Report {
+	t.Helper()
 	defer r.k.Close()
 	eng, err := New(r.k, r.topo, opts)
 	if err != nil {
@@ -102,33 +108,50 @@ func TestWorkloadLifetimeBounds(t *testing.T) {
 	}
 }
 
-// A churn run is byte-identical across kernel backends: the heap and
-// timer-wheel queues execute the same events in the same (time, seq)
-// order, and the engine consumes its PRNG before the clock starts.
+// A churn run is byte-identical across the kernel's event-storage
+// paths: on a fresh kernel every event struct is newly allocated, while
+// on a kernel whose pool was pre-warmed by scheduling and cancelling
+// events across every wheel level and the overflow heap, the run reuses
+// recycled structs with advanced seq tickets. Execution order must not
+// depend on either.
 func TestChurnDeterministicAcrossBackends(t *testing.T) {
 	for _, pol := range []Policy{PolicyGreedy, PolicySwap} {
 		opts := Options{Workload: defaultWorkload(11), Policy: pol}
-		heap := runOnce(t, sim.BackendHeap, opts)
-		wheel := runOnce(t, sim.BackendWheel, opts)
-		if heap.JSON() != wheel.JSON() {
-			t.Errorf("%v: backend reports differ:\nheap:  %s\nwheel: %s", pol, heap.JSON(), wheel.JSON())
+		fresh := runOnce(t, opts)
+		r := newRig(0)
+		before := r.k.PendingEvents()
+		for d := sim.Time(1); d > 0 && d < sim.Time(1)<<56; d *= 8 {
+			if !r.k.Schedule(d, func() {}).Cancel() {
+				t.Fatalf("warm-up event at %v did not cancel", d)
+			}
+		}
+		if n := r.k.PendingEvents(); n != before {
+			t.Fatalf("%d events pending after warm-up, want %d", n, before)
+		}
+		warm := runOn(t, r, opts)
+		if fresh.JSON() != warm.JSON() {
+			t.Errorf("%v: reports differ:\nfresh: %s\nwarm:  %s", pol, fresh.JSON(), warm.JSON())
 		}
 	}
 }
 
-// Repeated runs with the same seed are byte-identical; a different seed
-// produces a different run.
+// Under either policy, repeated runs with the same seed are
+// byte-identical — the kernel executes events in strict (time, seq)
+// order and the engine consumes its PRNG before the clock starts — and
+// a different seed produces a different run.
 func TestChurnSeedStability(t *testing.T) {
-	opts := Options{Workload: defaultWorkload(5), Policy: PolicySwap}
-	a := runOnce(t, sim.BackendHeap, opts)
-	b := runOnce(t, sim.BackendHeap, opts)
-	if a.JSON() != b.JSON() {
-		t.Fatalf("same seed, different reports:\n%s\n%s", a.JSON(), b.JSON())
-	}
-	opts.Workload.Seed = 6
-	c := runOnce(t, sim.BackendHeap, opts)
-	if a.JSON() == c.JSON() {
-		t.Fatal("different seeds produced byte-identical reports")
+	for _, pol := range []Policy{PolicyGreedy, PolicySwap} {
+		opts := Options{Workload: defaultWorkload(5), Policy: pol}
+		a := runOnce(t, opts)
+		b := runOnce(t, opts)
+		if a.JSON() != b.JSON() {
+			t.Fatalf("%v: same seed, different reports:\n%s\n%s", pol, a.JSON(), b.JSON())
+		}
+		opts.Workload.Seed = 6
+		c := runOnce(t, opts)
+		if a.JSON() == c.JSON() {
+			t.Fatalf("%v: different seeds produced byte-identical reports", pol)
+		}
 	}
 }
 
@@ -136,8 +159,8 @@ func TestChurnSeedStability(t *testing.T) {
 // affinity deficit relative to the greedy baseline — the subsystem's
 // headline claim — and pays for it with migrations.
 func TestSwapBeatsGreedyOnAffinityCost(t *testing.T) {
-	greedy := runOnce(t, sim.BackendHeap, Options{Workload: defaultWorkload(11), Policy: PolicyGreedy})
-	swap := runOnce(t, sim.BackendHeap, Options{Workload: defaultWorkload(11), Policy: PolicySwap})
+	greedy := runOnce(t, Options{Workload: defaultWorkload(11), Policy: PolicyGreedy})
+	swap := runOnce(t, Options{Workload: defaultWorkload(11), Policy: PolicySwap})
 	if greedy.SwapMigs != 0 {
 		t.Fatalf("greedy executed %d swap migrations, want 0", greedy.SwapMigs)
 	}
@@ -152,7 +175,7 @@ func TestSwapBeatsGreedyOnAffinityCost(t *testing.T) {
 // Every job reaches a terminal state and the books balance.
 func TestChurnConservation(t *testing.T) {
 	for _, pol := range []Policy{PolicyGreedy, PolicySwap} {
-		rep := runOnce(t, sim.BackendHeap, Options{Workload: defaultWorkload(2), Policy: pol})
+		rep := runOnce(t, Options{Workload: defaultWorkload(2), Policy: pol})
 		if rep.Arrived != 48 {
 			t.Fatalf("%v: arrived %d, want 48", pol, rep.Arrived)
 		}
@@ -167,17 +190,17 @@ func TestChurnConservation(t *testing.T) {
 
 // A node crash evicts the jobs running there; the engine re-places them
 // (counted as fault migrations) and the run still terminates
-// deterministically.
+// deterministically: a repeat run is byte-identical.
 func TestChurnNodeCrashEvictsAndReplaces(t *testing.T) {
 	plan, err := faults.ParsePlan("node-crash@30s+120s:node=ib-n00")
 	if err != nil {
 		t.Fatalf("ParsePlan: %v", err)
 	}
 	opts := Options{Workload: defaultWorkload(4), Policy: PolicySwap, Faults: plan}
-	a := runOnce(t, sim.BackendHeap, opts)
-	b := runOnce(t, sim.BackendWheel, opts)
+	a := runOnce(t, opts)
+	b := runOnce(t, opts)
 	if a.JSON() != b.JSON() {
-		t.Fatalf("faulted runs differ across backends:\n%s\n%s", a.JSON(), b.JSON())
+		t.Fatalf("faulted repeat runs differ:\n%s\n%s", a.JSON(), b.JSON())
 	}
 	if a.Faults != 1 {
 		t.Fatalf("faults fired %d, want 1", a.Faults)
@@ -220,7 +243,7 @@ func TestOptionsValidate(t *testing.T) {
 // uplinks; with a cold model and a priced NFS server it also crosses
 // the storage link.
 func TestMigrationPricingLinks(t *testing.T) {
-	r := newRig(sim.BackendHeap, 1e9)
+	r := newRig(1e9)
 	defer r.k.Close()
 	eng, err := New(r.k, r.topo, Options{Workload: defaultWorkload(1), Model: fleet.CostModel{Cold: true}})
 	if err != nil {
@@ -249,7 +272,7 @@ func TestMigrationPricingLinks(t *testing.T) {
 // on top of the reset. Capacity on failed hardware must be stranded
 // until reinstate rebuilds the books from ground truth.
 func TestEvictFromStrandsFailedCapacity(t *testing.T) {
-	r := newRig(sim.BackendHeap, 0)
+	r := newRig(0)
 	defer r.k.Close()
 	eng, err := New(r.k, r.topo, Options{Workload: defaultWorkload(1)})
 	if err != nil {

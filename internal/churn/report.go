@@ -80,7 +80,7 @@ func nearestRank(sorted []sim.Time, pct int) sim.Time {
 
 // JSON renders the report in a stable byte order (struct field order,
 // integer nanosecond times) — the byte-identity surface the ninjad and
-// simfarm layers compare across backends and re-executions.
+// simfarm layers compare across re-executions.
 func (r Report) JSON() string {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {

@@ -1,78 +1,53 @@
 package experiments
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/sim"
-)
-
-// TestExtFleetDeterminism is the backend acceptance gate: the full 7-row
-// ext-fleet matrix (every directive × policy × fault combination) must
-// render byte-identical across the heap and timer-wheel kernel backends,
-// and across two consecutive runs on the same backend — under both
-// sequencing modes. Any divergence in event ordering, PS completion
-// order, pooled-event reuse, or sequencer tie-breaking shows up here as
-// a table diff.
-// TestExtRDMADeterminism is the RDMA-native acceptance row: the six-rung
-// ext-rdma ladder (clean replay, each injected demotion, the preflight
-// demotion and the hotplug baseline) must render byte-identical across the
-// heap and timer-wheel backends and across consecutive runs. With the mode
-// off the rows ARE the hotplug baseline, so this also pins the zero-fault
-// observables the bench baseline guards.
+// TestExtRDMADeterminism is the RDMA-native repeat-run identity check:
+// the six-rung ext-rdma ladder (clean replay, each injected demotion, the
+// preflight demotion and the hotplug baseline) must render byte-identical
+// across two consecutive runs. With the mode off the rows ARE the hotplug
+// baseline, so this also pins the zero-fault observables the bench
+// baseline guards.
 func TestExtRDMADeterminism(t *testing.T) {
-	render := func(b sim.Backend) string {
-		rows, err := ExtRDMAWith(b)
+	render := func() string {
+		rows, err := ExtRDMA()
 		if err != nil {
-			t.Fatalf("%s ladder: %v", b, err)
+			t.Fatalf("ladder: %v", err)
 		}
 		if len(rows) != len(extRDMAScenarios()) {
-			t.Fatalf("%s ladder: %d rows", b, len(rows))
+			t.Fatalf("ladder: %d rows", len(rows))
 		}
 		return ExtRDMARender(rows).String()
 	}
-	heap1 := render(sim.BackendHeap)
-	heap2 := render(sim.BackendHeap)
-	if heap1 != heap2 {
-		t.Fatalf("heap backend not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", heap1, heap2)
-	}
-	wheel1 := render(sim.BackendWheel)
-	wheel2 := render(sim.BackendWheel)
-	if wheel1 != wheel2 {
-		t.Fatalf("wheel backend not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", wheel1, wheel2)
-	}
-	if heap1 != wheel1 {
-		t.Fatalf("backends disagree:\n--- heap:\n%s\n--- wheel:\n%s", heap1, wheel1)
+	if run1, run2 := render(), render(); run1 != run2 {
+		t.Fatalf("not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", run1, run2)
 	}
 }
 
+// TestExtFleetDeterminism is the fleet repeat-run identity check: the
+// full 7-row ext-fleet matrix (every directive × policy × fault
+// combination) must render byte-identical across two consecutive runs,
+// under both sequencing modes. Any divergence in event ordering, PS
+// completion order, pooled-event reuse, or sequencer tie-breaking shows
+// up here as a table diff.
 func TestExtFleetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run fleet matrix is not short")
 	}
 	for _, seqMode := range []string{"", "maxflow"} {
-		render := func(b sim.Backend) string {
-			cfg := FleetConfig{Jobs: 3, DrainCap: 2, Backend: b, SeqMode: seqMode}
+		render := func() string {
+			cfg := FleetConfig{Jobs: 3, DrainCap: 2, SeqMode: seqMode}
 			rows, err := ExtFleetMatrix(cfg)
 			if err != nil {
-				t.Fatalf("%s matrix: %v", b, err)
+				t.Fatalf("seq %q matrix: %v", seqMode, err)
 			}
 			if len(rows) != len(ExtFleetScenarios(cfg.DrainCap, cfg.SeqMode)) {
-				t.Fatalf("%s matrix: %d rows", b, len(rows))
+				t.Fatalf("seq %q matrix: %d rows", seqMode, len(rows))
 			}
 			return ExtFleetRender(rows).String()
 		}
-		heap1 := render(sim.BackendHeap)
-		heap2 := render(sim.BackendHeap)
-		if heap1 != heap2 {
-			t.Fatalf("seq %q: heap backend not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", seqMode, heap1, heap2)
-		}
-		wheel1 := render(sim.BackendWheel)
-		wheel2 := render(sim.BackendWheel)
-		if wheel1 != wheel2 {
-			t.Fatalf("seq %q: wheel backend not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", seqMode, wheel1, wheel2)
-		}
-		if heap1 != wheel1 {
-			t.Fatalf("seq %q: backends disagree:\n--- heap:\n%s\n--- wheel:\n%s", seqMode, heap1, wheel1)
+		if run1, run2 := render(), render(); run1 != run2 {
+			t.Fatalf("seq %q: not reproducible across runs:\n--- run 1:\n%s\n--- run 2:\n%s", seqMode, run1, run2)
 		}
 	}
 }

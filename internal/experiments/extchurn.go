@@ -38,10 +38,6 @@ type ChurnConfig struct {
 	// Workload is the seeded arrival process; zero fields default as in
 	// churn.Workload (64 jobs, 0.5/s, exponential 120 s lifetimes).
 	Workload churn.Workload
-	// Backend selects the kernel's event-queue backend (zero value =
-	// sim.BackendHeap). Churn reports are backend-independent — the
-	// determinism acceptance test holds them byte-identical.
-	Backend sim.Backend
 }
 
 func (cfg ChurnConfig) withDefaults() ChurnConfig {
@@ -88,7 +84,7 @@ type ChurnDeployment struct {
 // DeployChurn builds the two-site churn testbed.
 func DeployChurn(cfg ChurnConfig) *ChurnDeployment {
 	cfg = cfg.withDefaults()
-	k := sim.NewKernelWith(sim.Options{Backend: cfg.Backend})
+	k := sim.NewKernel()
 	tb := hw.NewTestbed(k)
 	ib := tb.AddCluster("churn-ib", cfg.IBNodes, hw.AGCNodeSpec)
 	ethSpec := hw.AGCNodeSpec

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/churn"
-	"repro/internal/sim"
 )
 
 // The subsystem's acceptance claim: on the default scenario the
@@ -66,24 +65,24 @@ func TestExtChurnMatrix(t *testing.T) {
 	}
 }
 
-// A churn report is byte-identical across kernel backends at the
-// experiments layer too (deployment naming and fault wiring included),
-// and the log tap does not perturb the run.
+// A churn report is byte-identical across repeat runs at the experiments
+// layer too (deployment naming and fault wiring included), and the log
+// tap does not perturb the run.
 func TestExtChurnDeterminism(t *testing.T) {
 	sc := ChurnScenario{Policy: churn.PolicySwap, Faults: ChurnCrashPlan()}
-	heap, err := RunChurnScenario(ChurnConfig{Backend: sim.BackendHeap}, sc)
+	plain, err := RunChurnScenario(ChurnConfig{}, sc)
 	if err != nil {
-		t.Fatalf("heap: %v", err)
+		t.Fatalf("run 1: %v", err)
 	}
 	lines := 0
-	wheel, err := RunChurnScenarioWith(ChurnConfig{Backend: sim.BackendWheel}, sc,
+	tapped, err := RunChurnScenarioWith(ChurnConfig{}, sc,
 		func(string, ...any) { lines++ })
 	if err != nil {
-		t.Fatalf("wheel: %v", err)
+		t.Fatalf("run 2: %v", err)
 	}
-	if heap.Report.JSON() != wheel.Report.JSON() {
-		t.Fatalf("backend reports differ:\nheap:  %s\nwheel: %s",
-			heap.Report.JSON(), wheel.Report.JSON())
+	if plain.Report.JSON() != tapped.Report.JSON() {
+		t.Fatalf("repeat-run reports differ:\nrun 1: %s\nrun 2: %s",
+			plain.Report.JSON(), tapped.Report.JSON())
 	}
 	if lines == 0 {
 		t.Fatal("log tap observed no engine lines on a faulted run")

@@ -382,3 +382,34 @@ func TestStopDoesNotPerturbRunUntilClock(t *testing.T) {
 		t.Fatalf("resumed RunUntil returned %v, want 10s", end)
 	}
 }
+
+// TestKernelSteadyStateAllocs pins the pooled event free list: on a warm
+// kernel, scheduling and firing a pre-built closure, and scheduling then
+// cancelling one, allocate nothing — at every wheel level and in the
+// overflow heap.
+func TestKernelSteadyStateAllocs(t *testing.T) {
+	k := NewKernel()
+	defer k.Close()
+	fn := func() {}
+	delays := []Time{0, Microsecond, Second, Hour, Time(1) << 50}
+	for _, d := range delays { // warm the free list and the overflow heap
+		k.Schedule(d, fn)
+	}
+	k.Run()
+	for _, d := range delays {
+		if n := testing.AllocsPerRun(100, func() {
+			k.Schedule(d, fn)
+			k.Run()
+		}); n != 0 {
+			t.Errorf("schedule+fire at +%v: %v allocs/op, want 0", d, n)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			k.Schedule(d, fn).Cancel()
+		}); n != 0 {
+			t.Errorf("schedule+cancel at +%v: %v allocs/op, want 0", d, n)
+		}
+	}
+	if !k.Idle() {
+		t.Fatalf("%d events left pending", k.PendingEvents())
+	}
+}

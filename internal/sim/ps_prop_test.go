@@ -13,6 +13,13 @@ import (
 // accumulated piecewise at every transition point — arrivals, SetCapacity,
 // AddBackground, and completions (via OnDone) — using the aggregate rate
 // that held since the previous transition.
+//
+// Each seed runs two ways. The wheel subtest schedules the trace within
+// the timer wheel's levels and must repeat bit-identically (repeat-run
+// identity). The heap subtest shifts the whole trace wheelSpan into the
+// future, so every seeded event starts in the wheel's overflow heap and
+// migrates into the wheel as the clock nears it; the shifted run must
+// deliver exactly the unshifted run's integral and makespan.
 func TestPSFairShareInvariant(t *testing.T) {
 	type bgPulse struct {
 		at    Time
@@ -51,55 +58,78 @@ func TestPSFairShareInvariant(t *testing.T) {
 			})
 		}
 
-		for _, backend := range []Backend{BackendHeap, BackendWheel} {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, backend), func(t *testing.T) {
-				k := NewKernelWith(Options{Backend: backend})
-				defer k.Close()
-				ps := NewPS(k, cap0, 0)
-				var integral float64
-				lastT := k.Now()
-				lastAgg := 0.0
-				accrue := func() {
-					now := k.Now()
-					integral += lastAgg * (now - lastT).Seconds()
-					lastT = now
-				}
-				recapture := func() { lastAgg = ps.rate() * float64(ps.Load()) }
-				completed := 0
-				for _, a := range arrivals {
-					a := a
-					k.Schedule(a.at, func() {
+		run := func(t *testing.T, shift Time) (delivered float64, end Time) {
+			k := NewKernel()
+			defer k.Close()
+			ps := NewPS(k, cap0, 0)
+			var integral float64
+			lastT := k.Now()
+			lastAgg := 0.0
+			accrue := func() {
+				now := k.Now()
+				integral += lastAgg * (now - lastT).Seconds()
+				lastT = now
+			}
+			recapture := func() { lastAgg = ps.rate() * float64(ps.Load()) }
+			completed := 0
+			for _, a := range arrivals {
+				a := a
+				k.Schedule(shift+a.at, func() {
+					accrue()
+					ps.ServeAsync(a.w).OnDone(func(struct{}) {
+						completed++
 						accrue()
-						ps.ServeAsync(a.w).OnDone(func(struct{}) {
-							completed++
-							accrue()
-							recapture()
-						})
 						recapture()
 					})
+					recapture()
+				})
+			}
+			for _, c := range caps {
+				c := c
+				k.Schedule(shift+c.at, func() { accrue(); ps.SetCapacity(c.c); recapture() })
+			}
+			for _, p := range pulses {
+				p := p
+				k.Schedule(shift+p.at, func() { accrue(); ps.AddBackground(p.delta); recapture() })
+				k.Schedule(shift+p.at+p.dur, func() { accrue(); ps.AddBackground(-p.delta); recapture() })
+			}
+			if shift >= wheelSpan {
+				if want := len(arrivals) + len(caps) + 2*len(pulses); k.q.overflow.Len() != want {
+					t.Fatalf("%d of %d shifted events in the overflow heap", k.q.overflow.Len(), want)
 				}
-				for _, c := range caps {
-					c := c
-					k.Schedule(c.at, func() { accrue(); ps.SetCapacity(c.c); recapture() })
-				}
-				for _, p := range pulses {
-					p := p
-					k.Schedule(p.at, func() { accrue(); ps.AddBackground(p.delta); recapture() })
-					k.Schedule(p.at+p.dur, func() { accrue(); ps.AddBackground(-p.delta); recapture() })
-				}
-				k.Run()
-				if completed != len(arrivals) {
-					t.Fatalf("%d of %d jobs completed", completed, len(arrivals))
-				}
-				if ps.Load() != 0 {
-					t.Fatalf("PS still loaded after drain: %d", ps.Load())
-				}
-				if diff := integral - totalWork; diff < -1e-3*totalWork || diff > 1e-3*totalWork {
-					t.Fatalf("conservation violated: delivered %.9f, submitted %.9f (diff %.2e)",
-						integral, totalWork, diff)
-				}
-			})
+			}
+			end = k.Run() - shift
+			if completed != len(arrivals) {
+				t.Fatalf("%d of %d jobs completed", completed, len(arrivals))
+			}
+			if ps.Load() != 0 {
+				t.Fatalf("PS still loaded after drain: %d", ps.Load())
+			}
+			return integral, end
 		}
+		conserved := func(t *testing.T, integral float64) {
+			t.Helper()
+			if diff := integral - totalWork; diff < -1e-3*totalWork || diff > 1e-3*totalWork {
+				t.Fatalf("conservation violated: delivered %.9f, submitted %.9f (diff %.2e)",
+					integral, totalWork, diff)
+			}
+		}
+		t.Run(fmt.Sprintf("seed%d/wheel", seed), func(t *testing.T) {
+			integral, end := run(t, 0)
+			conserved(t, integral)
+			if integral2, end2 := run(t, 0); integral2 != integral || end2 != end {
+				t.Fatalf("repeat run differs: delivered %v at %v, then %v at %v",
+					integral, end, integral2, end2)
+			}
+		})
+		t.Run(fmt.Sprintf("seed%d/heap", seed), func(t *testing.T) {
+			integral, end := run(t, wheelSpan)
+			conserved(t, integral)
+			if ref, refEnd := run(t, 0); integral != ref || end != refEnd {
+				t.Fatalf("overflow-heap run differs: delivered %v at %v, wheel run %v at %v",
+					integral, end, ref, refEnd)
+			}
+		})
 	}
 }
 

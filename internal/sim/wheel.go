@@ -5,13 +5,14 @@ import (
 	"math/bits"
 )
 
-// wheelQueue is a hierarchical timer wheel: wheelLevels wheels of
-// wheelSlots slots each, with slot width 64^level nanoseconds, indexed by
-// absolute fire time. Level 0 has 1 ns slots, so every event in a level-0
-// slot of the current window shares an exact timestamp; coarser slots are
-// cascaded down as the cursor reaches them. Events further than 2^48 ns
-// (~3.3 simulated days) ahead of the cursor wait in an overflow heap and
-// migrate into the wheel once the cursor gets near.
+// wheelQueue is the kernel's event queue, a hierarchical timer wheel:
+// wheelLevels wheels of wheelSlots slots each, with slot width 64^level
+// nanoseconds, indexed by absolute fire time. Level 0 has 1 ns slots, so
+// every event in a level-0 slot of the current window shares an exact
+// timestamp; coarser slots are cascaded down as the cursor reaches them.
+// Events further than 2^48 ns (~3.3 simulated days) ahead of the cursor
+// wait in an overflow heap and migrate into the wheel once the cursor
+// gets near.
 //
 // Schedule and Cancel are O(1): slot chains are doubly linked, so a
 // cancelled event is unlinked and recycled immediately — watchdog-style
@@ -23,8 +24,8 @@ import (
 // lowest level whose slot width covers its distance from the cursor, so a
 // level-l slot, at the moment the cursor enters its window, only holds
 // events that still need l more levels of cascading. The oracle test
-// (oracle_test.go) checks trace-identical execution against both the heap
-// backend and a naive sorted-slice executor.
+// (oracle_test.go) checks trace-identical execution against a naive
+// sorted-slice executor.
 const (
 	wheelBits     = 6
 	wheelSlots    = 1 << wheelBits // 64
@@ -51,6 +52,8 @@ type wheelQueue struct {
 	free     *event              // event struct pool
 }
 
+// alloc returns a blank event struct, recycled from the free list when
+// one is available.
 func (q *wheelQueue) alloc() *event {
 	if ev := q.free; ev != nil {
 		q.free = ev.next
@@ -60,6 +63,7 @@ func (q *wheelQueue) alloc() *event {
 	return &event{}
 }
 
+// freeEvent recycles a fired or removed event onto the free list.
 func (q *wheelQueue) freeEvent(ev *event) {
 	ev.fn = nil
 	ev.prev = nil
@@ -68,6 +72,7 @@ func (q *wheelQueue) freeEvent(ev *event) {
 	q.free = ev
 }
 
+// schedule enqueues ev (at, seq, fn, k and state already set).
 func (q *wheelQueue) schedule(ev *event) {
 	q.n++
 	q.insert(ev)
@@ -122,7 +127,8 @@ func (q *wheelQueue) unlink(ev *event) {
 	ev.next = nil
 }
 
-func (q *wheelQueue) cancel(ev *event) bool {
+// cancel removes a pending event.
+func (q *wheelQueue) cancel(ev *event) {
 	q.n--
 	switch {
 	case ev.lvl < wheelLevels:
@@ -136,9 +142,10 @@ func (q *wheelQueue) cancel(ev *event) bool {
 		ev.state = stateCancelled
 		ev.fn = nil
 	}
-	return true
 }
 
+// pop removes and returns the earliest pending event with at <= limit, or
+// nil if there is none.
 func (q *wheelQueue) pop(limit Time) *event {
 	for {
 		// Serve the already-extracted exact-time batch first.
@@ -289,10 +296,32 @@ func (q *wheelQueue) pushReady(ev *event) {
 	p.next = ev
 }
 
-func (q *wheelQueue) release(ev *event) { q.freeEvent(ev) }
+// eventHeap is the overflow min-heap, ordered by (at, seq).
+type eventHeap []*event
 
-func (q *wheelQueue) len() int { return q.n }
-
-func (q *wheelQueue) clear() {
-	*q = wheelQueue{}
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *eventHeap) Push(x any) {
+	ev := x.(*event)
+	ev.index = len(*h)
+	*h = append(*h, ev)
+}
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	ev.index = -1
+	*h = old[:n-1]
+	return ev
 }
