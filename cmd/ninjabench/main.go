@@ -38,7 +38,7 @@ import (
 )
 
 // main delegates to run so deferred profile writers and the partial -json
-// flush still execute on the interrupted-exit path.
+// flush still execute on the interrupted and failed exit paths.
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -93,16 +93,11 @@ func run(ctx context.Context) int {
 		}()
 	}
 
-	switch *fleetSeq {
-	case "", "lpt", "maxflow":
-	default:
-		fmt.Fprintf(os.Stderr, "ninjabench: unknown -fleet-seq %q (want lpt or maxflow)\n", *fleetSeq)
-		os.Exit(1)
-	}
-
-	fail := func(id string, err error) {
+	// fail reports a failed block; run returns its result rather than
+	// exiting, so the deferred profile writers still run.
+	fail := func(id string, err error) int {
 		fmt.Fprintf(os.Stderr, "ninjabench: %s: %v\n", id, err)
-		os.Exit(1)
+		return 1
 	}
 
 	// emit prints a table and keeps it for the -json dump.
@@ -148,21 +143,21 @@ func run(ctx context.Context) int {
 	if want["table2"] && ctx.Err() == nil {
 		rows, err := experiments.Table2()
 		if err != nil {
-			fail("table2", err)
+			return fail("table2", err)
 		}
 		emit(experiments.Table2Render(rows))
 	}
 	if want["fig6"] && ctx.Err() == nil {
 		rows, err := experiments.Fig6(nil)
 		if err != nil {
-			fail("fig6", err)
+			return fail("fig6", err)
 		}
 		emit(experiments.Fig6Render(rows))
 	}
 	if want["fig7"] && ctx.Err() == nil {
 		rows, err := experiments.Fig7(nil, *scale)
 		if err != nil {
-			fail("fig7", err)
+			return fail("fig7", err)
 		}
 		if *scale != 1.0 {
 			fmt.Printf("(fig7 at scale %.2f — iteration counts reduced proportionally)\n", *scale)
@@ -178,7 +173,7 @@ func run(ctx context.Context) int {
 		}
 		res, err := experiments.Fig8(f.ranks, 40)
 		if err != nil {
-			fail(f.id, err)
+			return fail(f.id, err)
 		}
 		emit(experiments.Fig8Render(res))
 		fmt.Println(res.Series.Bars(50))
@@ -192,43 +187,43 @@ func run(ctx context.Context) int {
 	if want["ext-scalability"] && ctx.Err() == nil {
 		rows, err := experiments.ExtScalability(nil)
 		if err != nil {
-			fail("ext-scalability", err)
+			return fail("ext-scalability", err)
 		}
 		emit(experiments.ExtScalabilityRender(rows))
 	}
 	if want["ext-coldvslive"] && ctx.Err() == nil {
 		rows, err := experiments.ExtColdVsLive(nil)
 		if err != nil {
-			fail("ext-coldvslive", err)
+			return fail("ext-coldvslive", err)
 		}
 		emit(experiments.ExtColdVsLiveRender(rows))
 	}
 	if want["ext-bypass"] && ctx.Err() == nil {
 		rows, err := experiments.ExtBypassOverhead()
 		if err != nil {
-			fail("ext-bypass", err)
+			return fail("ext-bypass", err)
 		}
 		emit(experiments.ExtBypassOverheadRender(rows))
 	}
 	if want["ext-faults"] && ctx.Err() == nil {
 		rows, err := experiments.ExtFaultMatrix()
 		if err != nil {
-			fail("ext-faults", err)
+			return fail("ext-faults", err)
 		}
 		emit(experiments.ExtFaultMatrixRender(rows))
 	}
 	if want["ext-rdma"] && ctx.Err() == nil {
 		rows, err := experiments.ExtRDMA()
 		if err != nil {
-			fail("ext-rdma", err)
+			return fail("ext-rdma", err)
 		}
 		emit(experiments.ExtRDMARender(rows))
 	}
 	if want["ext-fleet"] && ctx.Err() == nil {
 		rows, err := experiments.ExtFleetMatrixCtx(ctx,
-			experiments.FleetConfig{Jobs: *fleetJobs, DrainCap: *drainCap, SeqMode: *fleetSeq})
+			experiments.FleetConfig{Jobs: *fleetJobs}, *drainCap, *fleetSeq)
 		if err != nil && !errors.Is(err, context.Canceled) {
-			fail("ext-fleet", err)
+			return fail("ext-fleet", err)
 		}
 		emit(experiments.ExtFleetRender(rows))
 	}
@@ -239,7 +234,7 @@ func run(ctx context.Context) int {
 		cfg.Workload.Seed = *churnSeed
 		rows, err := experiments.ExtChurnMatrixCtx(ctx, cfg)
 		if err != nil && !errors.Is(err, context.Canceled) {
-			fail("ext-churn", err)
+			return fail("ext-churn", err)
 		}
 		emit(experiments.ExtChurnRender(rows))
 	}
@@ -247,7 +242,7 @@ func run(ctx context.Context) int {
 	if want["ext-sweep"] && ctx.Err() == nil {
 		tbl, err := runSweep(ctx, *sweepJobs, *sweepSeeds, *sweepPar)
 		if err != nil && !errors.Is(err, context.Canceled) {
-			fail("ext-sweep", err)
+			return fail("ext-sweep", err)
 		}
 		if tbl != nil {
 			emit(tbl)
@@ -257,10 +252,10 @@ func run(ctx context.Context) int {
 	if *jsonPath != "" {
 		out, err := json.MarshalIndent(tables, "", "  ")
 		if err != nil {
-			fail("json", err)
+			return fail("json", err)
 		}
 		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-			fail("json", err)
+			return fail("json", err)
 		}
 		fmt.Fprintf(os.Stderr, "ninjabench: wrote %d table(s) to %s\n", len(tables), *jsonPath)
 	}

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/simfarm"
 )
 
 // HTTP server timeouts. A client gets readHeaderTimeout to send its
@@ -159,7 +160,7 @@ func (d *daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate before accepting: a directive that cannot parse must be
 	// refused at the door, not persisted and failed asynchronously.
-	if _, err := parseSpec(req.Directive); err != nil {
+	if _, err := simfarm.DecodeSpec(req.Directive); err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -342,42 +341,6 @@ func TestChurnSweepDirectiveOverHTTP(t *testing.T) {
 	for _, r := range sum.Rows {
 		if r.Plan != "node-crash" {
 			t.Fatalf("fault_plans filter leaked plan %q into the summary", r.Plan)
-		}
-	}
-}
-
-// A typo'd fault-plan name is refused at parse time with the typed
-// simfarm error, naming the plans the matrix actually has.
-func TestSweepFaultPlanValidation(t *testing.T) {
-	_, err := parseSpec(json.RawMessage(`{"kind":"sweep","fault_plans":["dst-crash","bogus"]}`))
-	var oe *simfarm.OptionsError
-	if !errors.As(err, &oe) {
-		t.Fatalf("parseSpec = %v, want wrapped *simfarm.OptionsError", err)
-	}
-	for _, want := range []string{"bogus", "dst-crash", "migrate-abort"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
-	}
-	if _, err := parseSpec(json.RawMessage(`{"kind":"sweep","matrix":"churn","fault_plans":["node-crash"]}`)); err != nil {
-		t.Fatalf("valid churn-matrix plan selection rejected: %v", err)
-	}
-}
-
-func TestDirectiveSpecDefaults(t *testing.T) {
-	for body, wantLabel := range map[string]string{
-		`{}`: "greedy/sequential",
-		`{"placement":"swap","batched":true,"cap":4}`:                         "swap/batched(cap=4)",
-		`{"kind":"rolling-maintenance"}`:                                      "rolling(cap=2)/greedy",
-		`{"kind":"rolling-maintenance","placement":"swap","max_in_flight":3}`: "rolling(cap=3)/swap",
-	} {
-		spec, err := parseSpec(json.RawMessage(body))
-		if err != nil {
-			t.Fatalf("%s: %v", body, err)
-		}
-		_, sc := spec.scenario()
-		if got := sc.Label(); got != wantLabel {
-			t.Errorf("%s → %q, want %q", body, got, wantLabel)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestExtRDMADeterminism is the RDMA-native repeat-run identity check:
 // the six-rung ext-rdma ladder (clean replay, each injected demotion, the
@@ -36,12 +39,11 @@ func TestExtFleetDeterminism(t *testing.T) {
 	}
 	for _, seqMode := range []string{"", "maxflow"} {
 		render := func() string {
-			cfg := FleetConfig{Jobs: 3, DrainCap: 2, SeqMode: seqMode}
-			rows, err := ExtFleetMatrix(cfg)
+			rows, err := ExtFleetMatrixCtx(context.Background(), FleetConfig{Jobs: 3}, 2, seqMode)
 			if err != nil {
 				t.Fatalf("seq %q matrix: %v", seqMode, err)
 			}
-			if len(rows) != len(ExtFleetScenarios(cfg.DrainCap, cfg.SeqMode)) {
+			if len(rows) != len(ExtFleetScenarios(2, seqMode)) {
 				t.Fatalf("seq %q matrix: %d rows", seqMode, len(rows))
 			}
 			return ExtFleetRender(rows).String()

@@ -49,15 +49,6 @@ type FleetConfig struct {
 	// directive so late migrations still find ranks to quiesce
 	// (default 3000 × 0.2 s ≈ 600 s of compute).
 	AppIters int
-	// DrainCap is the rolling-maintenance jobs-in-flight cap per
-	// mini-plan (default 2).
-	DrainCap int
-	// SeqMode selects the matrix's sequencing algorithm: "" or "lpt"
-	// keeps the default LPT matrix (byte-stable across releases);
-	// "maxflow" swaps the batched rows for time-expanded max-flow rounds
-	// (fleet.SeqMaxFlow), keeping the capped LPT rows as the reference
-	// they are read against.
-	SeqMode string
 }
 
 func (cfg FleetConfig) withDefaults() FleetConfig {
@@ -83,9 +74,6 @@ func (cfg FleetConfig) withDefaults() FleetConfig {
 	}
 	if cfg.AppIters <= 0 {
 		cfg.AppIters = 3000
-	}
-	if cfg.DrainCap <= 0 {
-		cfg.DrainCap = 2
 	}
 	return cfg
 }
@@ -540,10 +528,11 @@ func RunFleetScenarioWith(cfg FleetConfig, sc FleetScenario, sink func(metrics.E
 // extension directives — a rolling drain of dc0 (capped jobs-in-flight)
 // and a bidirectional evacuation through a 300 s site outage.
 //
-// seqMode fleet.SeqMaxFlow swaps the batched rows for uncapped
+// drainCap is the rolling drain's jobs-in-flight cap per mini-plan
+// (0 = 2). seqMode fleet.SeqMaxFlow swaps the batched rows for uncapped
 // time-expanded max-flow rounds and keeps the two capped LPT rows as the
-// reference they are read against; any other value returns the default
-// LPT matrix unchanged.
+// reference they are read against; "" or fleet.SeqLPT returns the
+// default LPT matrix (ExtFleetMatrixCtx rejects any other mode).
 func ExtFleetScenarios(drainCap int, seqMode string) []FleetScenario {
 	if drainCap <= 0 {
 		drainCap = 2
@@ -574,19 +563,24 @@ func ExtFleetScenarios(drainCap int, seqMode string) []FleetScenario {
 	}
 }
 
-// ExtFleetMatrix runs the full fleet directive × policy × fault matrix.
+// ExtFleetMatrix runs the default fleet directive × policy × fault
+// matrix: LPT sequencing, rolling drain capped at 2.
 func ExtFleetMatrix(cfg FleetConfig) ([]FleetRow, error) {
-	return ExtFleetMatrixCtx(context.Background(), cfg)
+	return ExtFleetMatrixCtx(context.Background(), cfg, 0, "")
 }
 
-// ExtFleetMatrixCtx is ExtFleetMatrix with cooperative cancellation: ctx
-// is checked between scenarios (a scenario, once started, runs to
-// completion — the simulation has no wall-clock blocking inside it), and
-// a cancelled run returns the rows finished so far alongside ctx.Err().
-func ExtFleetMatrixCtx(ctx context.Context, cfg FleetConfig) ([]FleetRow, error) {
-	cfg = cfg.withDefaults()
+// ExtFleetMatrixCtx runs the ExtFleetScenarios(drainCap, seqMode) matrix
+// over cfg's fleet with cooperative cancellation: ctx is checked between
+// scenarios (a scenario, once started, runs to completion — the
+// simulation has no wall-clock blocking inside it), and a cancelled run
+// returns the rows finished so far alongside ctx.Err(). An unknown
+// seqMode is rejected before any scenario runs.
+func ExtFleetMatrixCtx(ctx context.Context, cfg FleetConfig, drainCap int, seqMode string) ([]FleetRow, error) {
+	if err := (fleet.SeqPolicy{Mode: seqMode}).Validate(); err != nil {
+		return nil, fmt.Errorf("experiments: ext-fleet: %w", err)
+	}
 	var rows []FleetRow
-	for _, sc := range ExtFleetScenarios(cfg.DrainCap, cfg.SeqMode) {
+	for _, sc := range ExtFleetScenarios(drainCap, seqMode) {
 		if err := ctx.Err(); err != nil {
 			return rows, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -146,6 +147,18 @@ func TestExtFleetMatrixShape(t *testing.T) {
 		if r.Jobs != 3 {
 			t.Fatalf("row %s has %d jobs", r.Scenario, r.Jobs)
 		}
+	}
+}
+
+// An unknown sequencing mode is refused before any scenario runs, not
+// silently mapped onto the default LPT matrix.
+func TestExtFleetMatrixRejectsUnknownSeqMode(t *testing.T) {
+	rows, err := ExtFleetMatrixCtx(context.Background(), FleetConfig{Jobs: 2}, 0, "bogus")
+	if err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("ExtFleetMatrixCtx(seq bogus) = %v, want an error naming the mode", err)
+	}
+	if len(rows) != 0 {
+		t.Fatalf("ran %d scenario(s) before rejecting the mode", len(rows))
 	}
 }
 

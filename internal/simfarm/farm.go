@@ -184,7 +184,7 @@ func (f *Farm) runCell(cell Cell) (out RunResult) {
 	}()
 	run := f.opts.Runner
 	if run == nil {
-		if cell.Directive.Churn != nil {
+		if cell.Directive.Spec.Kind == "churn" {
 			return runChurnCell(cell, out)
 		}
 		run = runFleetCell
@@ -217,10 +217,8 @@ func (f *Farm) runCell(cell Cell) (out RunResult) {
 // deployment's node names — churn cells have no VMs, so a VictimVM spec
 // fails the cell loudly rather than silently picking nothing.
 func runChurnCell(cell Cell, out RunResult) RunResult {
-	cd := cell.Directive.Churn
-	cfg := cd.Cfg
+	cfg, sc := cell.Directive.Spec.Churn()
 	cfg.Workload.Seed = cell.Seed
-	sc := cd.Sc
 	if len(cell.Plan.Specs) > 0 {
 		rng := rand.New(rand.NewSource(cell.Seed))
 		plan, err := cell.Plan.materialize(cell.Seed, rng, nil, experiments.ChurnVictims(cfg))
@@ -257,15 +255,15 @@ func runChurnCell(cell Cell, out RunResult) RunResult {
 // it; nothing global), inject it into a copy of the scenario, and run a
 // fresh fleet deployment.
 func runFleetCell(cell Cell) (*experiments.FleetResult, error) {
-	sc := cell.Directive.Sc
+	cfg, sc := cell.Directive.Spec.Fleet()
 	if len(cell.Plan.Specs) > 0 {
 		rng := rand.New(rand.NewSource(cell.Seed))
-		vms, dstNodes := experiments.FleetVictims(cell.Directive.Cfg)
+		vms, dstNodes := experiments.FleetVictims(cfg)
 		plan, err := cell.Plan.materialize(cell.Seed, rng, vms, dstNodes)
 		if err != nil {
 			return nil, err
 		}
 		sc.ExtraFaults = &plan
 	}
-	return experiments.RunFleetScenario(cell.Directive.Cfg, sc)
+	return experiments.RunFleetScenario(cfg, sc)
 }

@@ -24,11 +24,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/churn"
-	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/ninja"
 	"repro/internal/sim"
 )
 
@@ -48,39 +45,18 @@ func (e *OptionsError) Error() string {
 	return fmt.Sprintf("simfarm: invalid %s %d: %s", e.Field, e.Value, e.Reason)
 }
 
-// Directive is one entry of the matrix's policy axis: a named fleet
-// scenario plus the config it deploys under.
+// Directive is one entry of the matrix's policy axis: a named scenario
+// spec. Fleet specs (evacuate, rolling-maintenance) run one fleet
+// directive per cell; churn specs run the online arrival/departure
+// workload of internal/churn, with the cell seed as the workload seed
+// (the farm's replication axis IS the workload seed). The farm's fault
+// axis is armed on top of the spec: relative to the directive trigger for
+// fleet cells, at absolute simulation time for churn cells (a churn run
+// has no trigger instant; its clock starts at the first arrival's epoch).
 type Directive struct {
 	// Name labels the directive in summaries and progress events.
 	Name string
-	// Cfg shapes the per-cell fleet deployment (zero fields default as in
-	// experiments.FleetConfig).
-	Cfg experiments.FleetConfig
-	// Sc is the directive/policy cell template. Its ExtraFaults field is
-	// owned by the farm — the materialized per-cell fault plan is injected
-	// there — and must be left nil.
-	Sc experiments.FleetScenario
-	// Churn, when non-nil, switches this directive from a one-shot fleet
-	// evacuation to a continuous churn run; Cfg and Sc above are ignored.
-	Churn *ChurnDirective
-}
-
-// ChurnDirective is the churn variant of a directive: instead of
-// evacuating a fixed batch of jobs, each cell runs the online arrival/
-// departure workload of internal/churn under one placement policy. The
-// cell seed replaces Cfg.Workload.Seed (the farm's replication axis IS
-// the workload seed), and the farm's fault axis materializes into
-// Sc.Faults — which must therefore be left nil. Unlike fleet cells,
-// whose fault times are relative to the directive trigger, churn fault
-// times are absolute simulation times: a churn run has no trigger
-// instant, its clock starts at the first arrival's epoch.
-type ChurnDirective struct {
-	// Cfg shapes the two-site churn deployment (zero fields default as in
-	// experiments.ChurnConfig).
-	Cfg experiments.ChurnConfig
-	// Sc selects the placement policy and pricing switches. Faults must
-	// be nil; use the matrix's fault axis.
-	Sc experiments.ChurnScenario
+	Spec Spec
 }
 
 // VictimKind selects how a FaultSpec resolves its target per cell.
@@ -193,8 +169,10 @@ type Matrix struct {
 	Seeds SeedRange
 }
 
-// Validate rejects matrix values that are always caller bugs. The zero
-// value of every tunable selects the documented default.
+// Validate rejects matrix values that are always caller bugs: no
+// directives, negative seed counts, and directive specs that are invalid
+// or cannot be a cell (a sweep; a churn spec scripting its own faults).
+// The zero value of every tunable selects the documented default.
 func (m Matrix) Validate() error {
 	if len(m.Directives) == 0 {
 		return &OptionsError{
@@ -214,17 +192,19 @@ func (m Matrix) Validate() error {
 			Reason: "seed base must not be negative (0 selects the default of 1)",
 		}
 	}
-	for _, d := range m.Directives {
-		if d.Sc.ExtraFaults != nil {
-			return &OptionsError{
-				Field: "Matrix.Directives", Value: 0,
-				Reason: fmt.Sprintf("directive %q sets Sc.ExtraFaults, which is owned by the farm's fault axis", d.Name),
-			}
+	for i, d := range m.Directives {
+		var reason string
+		if d.Spec.Kind == "sweep" {
+			reason = "a sweep cannot be a matrix cell"
+		} else if err := d.Spec.Validate(); err != nil {
+			reason = err.Error()
+		} else if d.Spec.Kind == "churn" && d.Spec.Faulted {
+			reason = "a churn cell's faults come from the matrix's fault axis, not faulted"
 		}
-		if d.Churn != nil && d.Churn.Sc.Faults != nil {
+		if reason != "" {
 			return &OptionsError{
-				Field: "Matrix.Directives", Value: 0,
-				Reason: fmt.Sprintf("directive %q sets Churn.Sc.Faults, which is owned by the farm's fault axis", d.Name),
+				Field: "Matrix.Directives", Value: int64(i),
+				Reason: fmt.Sprintf("directive %q: %s", d.Name, reason),
 			}
 		}
 	}
@@ -338,48 +318,13 @@ func DefaultMatrix(jobs, seeds int) Matrix {
 	if jobs == 0 {
 		jobs = 4
 	}
-	cfg := experiments.FleetConfig{Jobs: jobs}
 	return Matrix{
 		Directives: []Directive{
-			{
-				Name: "evac-greedy",
-				Cfg:  cfg,
-				Sc:   experiments.FleetScenario{Placement: fleet.PlaceGreedy},
-			},
-			{
-				Name: "evac-swap-batched",
-				Cfg:  cfg,
-				Sc: experiments.FleetScenario{
-					Placement: fleet.PlaceSwap,
-					Seq:       fleet.SeqPolicy{Batched: true, Cap: 4},
-				},
-			},
-			{
-				Name: "rolling-cap2",
-				Cfg:  cfg,
-				Sc: experiments.FleetScenario{
-					Kind:        fleet.RollingMaintenance,
-					Placement:   fleet.PlaceSwap,
-					MaxInFlight: 2,
-				},
-			},
-			{
-				Name: "evac-swap-maxflow",
-				Cfg:  cfg,
-				Sc: experiments.FleetScenario{
-					Placement: fleet.PlaceSwap,
-					Seq:       fleet.SeqPolicy{Batched: true, Mode: fleet.SeqMaxFlow},
-				},
-			},
-			{
-				Name: "evac-swap-rdma",
-				Cfg:  cfg,
-				Sc: experiments.FleetScenario{
-					Placement: fleet.PlaceSwap,
-					Seq:       fleet.SeqPolicy{Batched: true, Cap: 4},
-					Mode:      ninja.RDMANative,
-				},
-			},
+			{Name: "evac-greedy", Spec: Spec{Jobs: jobs}},
+			{Name: "evac-swap-batched", Spec: Spec{Placement: "swap", Batched: true, Cap: 4, Jobs: jobs}},
+			{Name: "rolling-cap2", Spec: Spec{Kind: "rolling-maintenance", Placement: "swap", MaxInFlight: 2, Jobs: jobs}},
+			{Name: "evac-swap-maxflow", Spec: Spec{Placement: "swap", Batched: true, Seq: fleet.SeqMaxFlow, Jobs: jobs}},
+			{Name: "evac-swap-rdma", Spec: Spec{Placement: "swap", Batched: true, Cap: 4, Mode: "rdma", Jobs: jobs}},
 		},
 		Plans: []FaultPlan{
 			{Name: "none"},
@@ -418,18 +363,10 @@ func ChurnMatrix(jobs, seeds int) Matrix {
 	if jobs == 0 {
 		jobs = 32
 	}
-	cfg := experiments.ChurnConfig{}
-	cfg.Workload.Jobs = jobs
 	return Matrix{
 		Directives: []Directive{
-			{
-				Name:  "churn-greedy",
-				Churn: &ChurnDirective{Cfg: cfg, Sc: experiments.ChurnScenario{Policy: churn.PolicyGreedy}},
-			},
-			{
-				Name:  "churn-swap",
-				Churn: &ChurnDirective{Cfg: cfg, Sc: experiments.ChurnScenario{Policy: churn.PolicySwap}},
-			},
+			{Name: "churn-greedy", Spec: Spec{Kind: "churn", Jobs: jobs}},
+			{Name: "churn-swap", Spec: Spec{Kind: "churn", Placement: "swap", Jobs: jobs}},
 		},
 		Plans: []FaultPlan{
 			{Name: "none"},

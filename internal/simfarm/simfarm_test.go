@@ -6,17 +6,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/ninja"
 	"repro/internal/sim"
 )
-
-var faultsPlanStub = faults.Plan{Name: "stub"}
 
 // fakeResult builds a deterministic synthetic FleetResult from a seed, so
 // pool-scheduling tests don't pay for real deployments.
@@ -228,8 +226,11 @@ func TestValidation(t *testing.T) {
 		{"negative seed count", Matrix{Directives: good.Directives, Seeds: SeedRange{Count: -1}}, Options{}, "Matrix.Seeds.Count"},
 		{"negative seed base", Matrix{Directives: good.Directives, Seeds: SeedRange{Base: -7}}, Options{}, "Matrix.Seeds.Base"},
 		{"negative parallelism", good, Options{Parallelism: -2}, "Options.Parallelism"},
-		{"reserved ExtraFaults", Matrix{Directives: []Directive{{
-			Name: "d", Sc: experiments.FleetScenario{ExtraFaults: &faultsPlanStub},
+		{"sweep directive", Matrix{Directives: []Directive{{
+			Name: "d", Spec: Spec{Kind: "sweep"},
+		}}}, Options{}, "Matrix.Directives"},
+		{"invalid directive spec", Matrix{Directives: []Directive{{
+			Name: "d", Spec: Spec{Placement: "explode"},
 		}}}, Options{}, "Matrix.Directives"},
 	}
 	for _, tc := range cases {
@@ -315,13 +316,16 @@ func TestCellEnumerationOrder(t *testing.T) {
 }
 
 // The real fleet runner end to end, small: the default matrix with 2
-// jobs and 2 seeds (3 directives × 3 plans × 2 = 18 cells) must complete
+// jobs and 2 seeds (5 directives × 3 plans × 2 = 30 cells) must complete
 // with zero failures and identical summaries at both parallelism levels.
 func TestDefaultMatrixFleetRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real fleet sweep")
 	}
 	m := DefaultMatrix(2, 2)
+	if m.Runs() != 30 {
+		t.Fatalf("Runs = %d, want 5×3×2 = 30", m.Runs())
+	}
 	a := runAt(t, m, 1, nil)
 	b := runAt(t, m, 8, nil)
 	if a.Summary.Failures != 0 {
@@ -336,11 +340,31 @@ func TestDefaultMatrixFleetRuns(t *testing.T) {
 		t.Fatalf("fleet sweep summary differs between parallelism 1 and 8:\n%s\nvs\n%s",
 			a.Summary.JSON(), b.Summary.JSON())
 	}
-	// The fault plans must actually bite: the dst-crash rows should show
-	// recovery activity (replans, retried jobs or spare usage) somewhere.
+	// The migrate-abort plan must bite: every such row retries a job and
+	// differs from its directive's fault-free row. The dst-crash plan does
+	// NOT bite at this size: all five of its rows equal their "none" rows.
+	// It is only required to run here; making it bite is ROADMAP item
+	// 5(b).
+	none := map[string]RowSummary{}
 	for _, r := range a.Summary.Rows {
 		if r.Runs != 2 {
 			t.Fatalf("row %s/%s has %d runs, want 2", r.Directive, r.Plan, r.Runs)
+		}
+		if r.Plan == "none" {
+			none[r.Directive] = r
+		}
+	}
+	for _, r := range a.Summary.Rows {
+		if r.Plan != "migrate-abort" {
+			continue
+		}
+		if r.Outcomes[string(ninja.OutcomeRetriedOK)] == 0 {
+			t.Errorf("row %s/%s: no retried-ok job, outcomes %v", r.Directive, r.Plan, r.Outcomes)
+		}
+		clean := none[r.Directive]
+		clean.Plan = r.Plan
+		if reflect.DeepEqual(r, clean) {
+			t.Errorf("row %s/%s equals its fault-free row", r.Directive, r.Plan)
 		}
 	}
 }
@@ -388,12 +412,12 @@ func TestChurnMatrixByteIdenticalAcrossParallelism(t *testing.T) {
 }
 
 // A churn directive that tries to script its own faults is rejected:
-// the farm's fault axis owns Sc.Faults.
+// the farm's fault axis owns a churn cell's fault plan.
 func TestChurnDirectiveFaultsRejected(t *testing.T) {
 	m := ChurnMatrix(8, 1)
-	m.Directives[0].Churn.Sc.Faults = &faultsPlanStub
+	m.Directives[0].Spec.Faulted = true
 	var oe *OptionsError
 	if _, err := New(m, Options{}); !errors.As(err, &oe) {
-		t.Fatalf("New = %v, want *OptionsError for Churn.Sc.Faults", err)
+		t.Fatalf("New = %v, want *OptionsError for a faulted churn spec", err)
 	}
 }

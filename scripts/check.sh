@@ -13,6 +13,11 @@ fi
 go build ./...
 go vet ./...
 go test -race ./...
+# The benchmark is its own module (perfbench/go.mod) importing the
+# simfarm, experiments and jobs APIs, so ./... above never builds it. Its
+# tests check the sweep, churn, paper and control digests (~10 s).
+go -C perfbench vet ./...
+go -C perfbench test ./...
 # Smoke the fleet control plane end to end (small fleet, ~1 s). The
 # matrix includes the rolling-maintenance drain and the bidirectional
 # return-home rows.
