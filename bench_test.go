@@ -366,7 +366,7 @@ func BenchmarkAblationHotplugNoise(b *testing.B) {
 // rung instead of failing. The rdma-* metrics are guarded by benchdiff
 // alongside the sim-* family.
 func BenchmarkAblationQPReplay(b *testing.B) {
-	var rows []experiments.RDMARow
+	var rows []experiments.FaultRow
 	for i := 0; i < b.N; i++ {
 		var err error
 		rows, err = experiments.ExtRDMA()
@@ -374,7 +374,7 @@ func BenchmarkAblationQPReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	byName := map[string]experiments.RDMARow{}
+	byName := map[string]experiments.FaultRow{}
 	demotions := 0
 	for _, r := range rows {
 		byName[r.Scenario] = r
@@ -384,8 +384,8 @@ func BenchmarkAblationQPReplay(b *testing.B) {
 	if native.Total >= hotplug.Total {
 		b.Fatalf("QP replay saved nothing: native %v vs hotplug %v", native.Total, hotplug.Total)
 	}
-	if native.Mode != ninja.ModeRDMANative || hotplug.Mode != ninja.ModeHotplug {
-		b.Fatalf("unexpected rungs: native=%s hotplug=%s", native.Mode, hotplug.Mode)
+	if native.Rung != ninja.ModeRDMANative || hotplug.Rung != ninja.ModeHotplug {
+		b.Fatalf("unexpected rungs: native=%s hotplug=%s", native.Rung, hotplug.Rung)
 	}
 	b.ReportMetric(hotplug.Total.Seconds(), "rdma-hotplug-total-s")
 	b.ReportMetric(native.Total.Seconds(), "rdma-native-total-s")

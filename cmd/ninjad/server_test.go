@@ -161,6 +161,7 @@ func TestSubmitRejectsBadDirectives(t *testing.T) {
 		"consolidate":   `{"directive":{"kind":"consolidate"}}`,
 		"unknown field": `{"directive":{"placment":"swap"}}`,
 		"rolling+home":  `{"directive":{"kind":"rolling-maintenance","return_home":true}}`,
+		"rolling+crash": `{"directive":{"kind":"rolling-maintenance","faulted":true}}`,
 		"sweep+policy":  `{"directive":{"kind":"sweep","placement":"swap"}}`,
 		"sweep-seeds<0": `{"directive":{"kind":"sweep","seeds":-1}}`,
 		"evac+seeds":    `{"directive":{"kind":"evacuate","seeds":4}}`,

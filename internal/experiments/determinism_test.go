@@ -28,7 +28,7 @@ func TestExtRDMADeterminism(t *testing.T) {
 }
 
 // TestExtFleetDeterminism is the fleet repeat-run identity check: the
-// full 7-row ext-fleet matrix (every directive × policy × fault
+// full 8-row ext-fleet matrix (every directive × policy × fault
 // combination) must render byte-identical across two consecutive runs,
 // under both sequencing modes. Any divergence in event ordering, PS
 // completion order, pooled-event reuse, or sequencer tie-breaking shows

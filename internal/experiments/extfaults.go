@@ -8,16 +8,27 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/ninja"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 )
 
-// This file implements the robustness extension experiment: a phase ×
-// fault outcome matrix. Each scenario deploys a fresh testbed, launches
-// an iterating MPI job, arms one fault plan against a specific phase of
-// the Ninja script, and triggers a migration. The run must end with the
-// job healthy — every injected fault resolved by retry, degradation to
-// TCP, or rollback-in-place — and the MPI iteration counter strictly
-// monotone across the fault (no lost or repeated iterations).
+// This file implements the two single-job fault experiments, which share
+// one runner. Each scenario deploys a fresh 2-VM testbed, launches an
+// iterating MPI job, arms one fault plan, and triggers a migration.
+//
+// ext-faults is a phase × fault outcome matrix: one fault plan against
+// each phase of the Ninja script. The run must end with the job healthy —
+// every injected fault resolved by retry, degradation to TCP, or
+// rollback-in-place — and the MPI iteration counter strictly monotone
+// across the fault (no lost or repeated iterations).
+//
+// ext-rdma runs the same IB→IB gang migration once per degradation-ladder
+// rung. The hotplug baseline pays the paper's fixed overheads
+// (detach/attach fan-out plus ≈30 s of destination link training — the
+// Fig. 6 / Table II terms); QP checkpoint/replay eliminates both, and
+// each injected replay fault (resync stall past the window, stale
+// snapshot epoch, incompatible destination HCA) must demote cleanly to
+// the hotplug rung rather than fail the migration.
 
 // FaultScenario describes one matrix row's setup.
 type FaultScenario struct {
@@ -25,9 +36,12 @@ type FaultScenario struct {
 	// Phase is the Ninja phase the fault targets (table label).
 	Phase string
 	// Specs is the fault plan, with At relative to the migration trigger
-	// (shifted to absolute simulated time at deploy).
+	// (shifted to absolute simulated time at deploy). Node targets use
+	// the deployment's names: source "agc-ib-n<i>", destination
+	// "agc-dst-n<i>".
 	Specs []faults.Spec
-	// Mode selects live or cold transfer.
+	// Mode selects the entry point: live (Migrate), cold (ColdMigrate) or
+	// RDMA-native (RDMAMigrate).
 	Mode ninja.Mode
 	// DstIB gives the destination cluster InfiniBand.
 	DstIB bool
@@ -48,7 +62,15 @@ type FaultRow struct {
 	SparesUsed  int
 	DegradedVMs int
 	FaultsFired int
-	Total       sim.Time
+	// Rung is the degradation-ladder rung the run terminated on; Demoted
+	// counts VMs whose QP replay fell back to the hotplug rung.
+	Rung    ninja.RungMode
+	Demoted int
+	// Hotplug is detach+attach; Linkup the resume-to-traffic span (IB
+	// training when a demotion or the baseline re-attached an HCA).
+	Hotplug sim.Time
+	Linkup  sim.Time
+	Total   sim.Time
 	// Iters is the number of MPI iterations completed; Monotone is false
 	// if the per-rank iteration counter ever repeated or went backwards.
 	Iters    int
@@ -80,7 +102,7 @@ func extFaultScenarios() []FaultScenario {
 		},
 		{
 			Name: "dst-node-crash", Phase: "migration", DstIB: true, Spares: 1,
-			Specs: []faults.Spec{{Kind: faults.KindNodeCrash, At: trig + 1*sim.Second}},
+			Specs: []faults.Spec{{Kind: faults.KindNodeCrash, Target: "agc-dst-n00", At: trig + 1*sim.Second}},
 		},
 		{
 			Name: "qmp-error-attach", Phase: "attach", DstIB: true,
@@ -88,7 +110,10 @@ func extFaultScenarios() []FaultScenario {
 		},
 		{
 			Name: "ib-train-stall", Phase: "linkup", DstIB: true,
-			Specs: []faults.Spec{{Kind: faults.KindTrainStall, For: 120 * sim.Second}},
+			Specs: []faults.Spec{
+				{Kind: faults.KindTrainStall, Target: "agc-dst-n00", For: 120 * sim.Second},
+				{Kind: faults.KindTrainStall, Target: "agc-dst-n01", For: 120 * sim.Second},
+			},
 		},
 		{
 			Name: "nfs-outage", Phase: "cold migration", Mode: ninja.Cold,
@@ -108,29 +133,21 @@ func extFaultScenarios() []FaultScenario {
 	}
 }
 
-// sparePool is a minimal ninja.SparePool over a fixed node list. (The
-// full implementation lives in internal/scheduler, which this package
-// cannot import without a test-build cycle.)
-type sparePool struct{ nodes []*hw.Node }
-
-func (s *sparePool) Acquire(exclude []*hw.Node) *hw.Node {
-	for i, n := range s.nodes {
-		if n.Failed() {
-			continue
-		}
-		excluded := false
-		for _, x := range exclude {
-			if x == n {
-				excluded = true
-			}
-		}
-		if excluded {
-			continue
-		}
-		s.nodes = append(s.nodes[:i], s.nodes[i+1:]...)
-		return n
+// extRDMAScenarios is the RDMA-native ladder: the hotplug baseline, a
+// clean QP replay, each injected replay fault, and the preflight demotion
+// (no destination HCA to replay onto).
+func extRDMAScenarios() []FaultScenario {
+	return []FaultScenario{
+		{Name: "hotplug-baseline", DstIB: true},
+		{Name: "rdma-native", Mode: ninja.RDMANative, DstIB: true},
+		{Name: "rdma-resync-timeout", Mode: ninja.RDMANative, DstIB: true,
+			Specs: []faults.Spec{{Kind: faults.KindQPResyncStall, Target: "agc-dst-n00", For: 10 * sim.Second}}},
+		{Name: "rdma-stale-qp", Mode: ninja.RDMANative, DstIB: true,
+			Specs: []faults.Spec{{Kind: faults.KindQPStale, Target: "agc-ib-n00"}}},
+		{Name: "rdma-hca-mismatch", Mode: ninja.RDMANative, DstIB: true,
+			Specs: []faults.Spec{{Kind: faults.KindHCAMismatch, Target: "agc-dst-n00"}}},
+		{Name: "rdma-preflight-no-ib", Mode: ninja.RDMANative},
 	}
-	return nil
 }
 
 // runFaultScenario executes one matrix row on a fresh 2-VM deployment.
@@ -154,14 +171,17 @@ func runFaultScenario(sc FaultScenario) (FaultRow, error) {
 		sc.Tune(&pol)
 	}
 	opts := ninja.Options{Retry: &pol}
-	dsts := d.DstNodes(len(d.VMs))
+	n := len(d.VMs)
+	dsts := d.DstNodes(n)
 	if sc.Spares > 0 {
-		opts.Spares = &sparePool{nodes: d.Dst.Nodes[len(d.VMs) : len(d.VMs)+sc.Spares]}
+		opts.Spares = scheduler.NewSpares(d.Dst.Nodes[n : n+sc.Spares]...)
 	}
 	orch := ninja.New(d.Job, opts)
 
 	// Shift the plan's trigger-relative times to absolute simulated time
 	// and arm it, logging firings into the orchestrator's event trail.
+	// The victim list spans both clusters, destinations first, so
+	// source-side (stale snapshot) and destination-side targets resolve.
 	trigger := d.Epoch + 5*sim.Second
 	plan := faults.Plan{Name: sc.Name, Seed: 1}
 	for _, s := range sc.Specs {
@@ -169,7 +189,7 @@ func runFaultScenario(sc FaultScenario) (FaultRow, error) {
 		plan.Specs = append(plan.Specs, s)
 	}
 	inj := faults.NewInjector(d.K, plan, faults.Env{
-		VMs: d.VMs, Nodes: dsts, Store: d.NFS,
+		VMs: d.VMs, Nodes: append(append([]*hw.Node(nil), dsts...), d.SrcNodes(n)...), Store: d.NFS,
 		Log: func(kind, subject, detail string) {
 			orch.Events().Record(metrics.EventFaultInjected, kind, subject, detail)
 		},
@@ -202,9 +222,12 @@ func runFaultScenario(sc FaultScenario) (FaultRow, error) {
 		if trigger > p.Now() {
 			p.Sleep(trigger - p.Now())
 		}
-		if sc.Mode == ninja.Cold {
+		switch sc.Mode {
+		case ninja.Cold:
 			rep, migErr = orch.ColdMigrate(p, dsts)
-		} else {
+		case ninja.RDMANative:
+			rep, migErr = orch.RDMAMigrate(p, dsts)
+		default:
 			rep, migErr = orch.Migrate(p, dsts)
 		}
 	})
@@ -219,6 +242,10 @@ func runFaultScenario(sc FaultScenario) (FaultRow, error) {
 	row.SparesUsed = rep.SparesUsed
 	row.DegradedVMs = rep.DegradedToTCP
 	row.FaultsFired = inj.Fired()
+	row.Rung = rep.Mode
+	row.Demoted = rep.RDMADemoted
+	row.Hotplug = rep.Hotplug()
+	row.Linkup = rep.Linkup
 	row.Total = rep.Total
 	if migErr != nil && rep.Outcome != ninja.OutcomeRolledBack {
 		return row, fmt.Errorf("experiments: %s: unexpected error: %w", sc.Name, migErr)
@@ -226,10 +253,9 @@ func runFaultScenario(sc FaultScenario) (FaultRow, error) {
 	return row, nil
 }
 
-// ExtFaultMatrix runs every fault scenario and returns the outcome matrix.
-func ExtFaultMatrix() ([]FaultRow, error) {
+func runFaultScenarios(scs []FaultScenario) ([]FaultRow, error) {
 	var rows []FaultRow
-	for _, sc := range extFaultScenarios() {
+	for _, sc := range scs {
 		row, err := runFaultScenario(sc)
 		if err != nil {
 			return rows, err
@@ -238,6 +264,12 @@ func ExtFaultMatrix() ([]FaultRow, error) {
 	}
 	return rows, nil
 }
+
+// ExtFaultMatrix runs every fault scenario and returns the outcome matrix.
+func ExtFaultMatrix() ([]FaultRow, error) { return runFaultScenarios(extFaultScenarios()) }
+
+// ExtRDMA runs the RDMA-native ladder matrix.
+func ExtRDMA() ([]FaultRow, error) { return runFaultScenarios(extRDMAScenarios()) }
 
 // ExtFaultMatrixRender formats the phase × fault outcome matrix.
 func ExtFaultMatrixRender(rows []FaultRow) *metrics.Table {
@@ -250,6 +282,17 @@ func ExtFaultMatrixRender(rows []FaultRow) *metrics.Table {
 		}
 		t.AddRow(r.Scenario, r.Phase, string(r.Outcome),
 			r.Retries, r.SparesUsed, r.DegradedVMs, r.FaultsFired, r.Total, iters)
+	}
+	return t
+}
+
+// ExtRDMARender formats the ladder matrix.
+func ExtRDMARender(rows []FaultRow) *metrics.Table {
+	t := metrics.NewTable("Ext. — RDMA-native (QP replay) vs hotplug ladder",
+		"scenario", "rung", "demoted", "fired", "hotplug [s]", "linkup [s]", "total [s]", "outcome")
+	for _, r := range rows {
+		t.AddRow(r.Scenario, string(r.Rung), r.Demoted, r.FaultsFired,
+			r.Hotplug, r.Linkup, r.Total, string(r.Outcome))
 	}
 	return t
 }

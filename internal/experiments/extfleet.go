@@ -251,6 +251,7 @@ type FleetScenario struct {
 	ReturnHome bool
 	// Faulted crashes a planned destination of the final batch shortly
 	// after the directive starts, exercising the executor's replanning.
+	// A rolling drain plans no batch up front, so it rejects Faulted.
 	Faulted bool
 	// ForcedRollback kills job00's migration at the first precopy pass
 	// until its ninja retry budget is spent, forcing a rollback-in-place
@@ -382,77 +383,64 @@ func RunFleetScenarioWith(cfg FleetConfig, sc FleetScenario, sink func(metrics.E
 	if sink != nil {
 		ex.Events().SetNotify(sink)
 	}
-	logInjection := func(kind, subject, detail string) {
-		ex.Events().Record(metrics.EventFaultInjected, kind, subject, detail)
+	// Every fault switch adds trigger-relative specs to one plan, armed
+	// once over the whole deployment: vmm.VM.SetFaultHooks replaces a
+	// VM's hooks, so a second injector would disarm the first.
+	var faultPlan faults.Plan
+	if sc.ExtraFaults != nil {
+		faultPlan.Name, faultPlan.Seed = sc.ExtraFaults.Name, sc.ExtraFaults.Seed
 	}
-	if sc.Faulted && len(plan.Seq.Batches) > 0 {
+	if sc.Faulted {
 		// Crash the first planned destination of the final batch while the
 		// first batch is still in flight: the fleet must notice before
 		// launching the victim's batch and re-place it.
-		last := plan.Seq.Batches[len(plan.Seq.Batches)-1]
-		victim := last[0].Dsts[0]
-		inj := faults.NewInjector(d.K, faults.Plan{
-			Name: "fleet-dst-crash", Seed: 1,
-			Specs: []faults.Spec{{
-				Kind: faults.KindNodeCrash, Target: victim.Name, At: trigger + 5*sim.Second,
-			}},
-		}, faults.Env{Nodes: []*hw.Node{victim}, Log: logInjection})
-		if err := inj.Arm(); err != nil {
-			return nil, err
+		if len(plan.Seq.Batches) == 0 {
+			return nil, fmt.Errorf("experiments: fleet %s: faulted needs a planned batch to crash", sc.Label())
 		}
+		last := plan.Seq.Batches[len(plan.Seq.Batches)-1]
+		faultPlan.Specs = append(faultPlan.Specs, faults.Spec{
+			Kind: faults.KindNodeCrash, Target: last[0].Dsts[0].Name, At: 5 * sim.Second,
+		})
 	}
 	if sc.ReturnHome {
 		// The whole source site goes dark just before the trigger and comes
 		// back 300 s later. Failed nodes only refuse inbound migrations, so
 		// the fleet evacuates off the dead site, waits out the outage, and
 		// migrates everyone home.
-		var specs []faults.Spec
 		for _, n := range d.Source.Nodes {
-			specs = append(specs, faults.Spec{
-				Kind: faults.KindNodeCrash, Target: n.Name,
-				At: trigger - 2*sim.Second, For: 300 * sim.Second,
+			faultPlan.Specs = append(faultPlan.Specs, faults.Spec{
+				Kind: faults.KindNodeCrash, Target: n.Name, At: -2 * sim.Second, For: 300 * sim.Second,
 			})
-		}
-		inj := faults.NewInjector(d.K, faults.Plan{
-			Name: "fleet-site-outage", Seed: 1, Specs: specs,
-		}, faults.Env{Nodes: d.Source.Nodes, Log: logInjection})
-		if err := inj.Arm(); err != nil {
-			return nil, err
 		}
 	}
 	if sc.ExtraFaults != nil {
-		// The sweep hook: shift the plan's trigger-relative times to
-		// absolute simulated time and arm it over the whole deployment.
-		plan := faults.Plan{Name: sc.ExtraFaults.Name, Seed: sc.ExtraFaults.Seed}
-		for _, s := range sc.ExtraFaults.Specs {
-			s.At += trigger
-			plan.Specs = append(plan.Specs, s)
-		}
-		var nodes []*hw.Node
-		for _, s := range d.Topo.Sites {
-			nodes = append(nodes, s.Nodes...)
-		}
-		nodes = append(nodes, d.SpareNodes...)
-		inj := faults.NewInjector(d.K, plan, faults.Env{
-			VMs: d.VMs(), Nodes: nodes, Store: d.NFS, Log: logInjection,
-		})
-		if err := inj.Arm(); err != nil {
-			return nil, err
-		}
+		faultPlan.Specs = append(faultPlan.Specs, sc.ExtraFaults.Specs...)
 	}
 	if sc.ForcedRollback {
 		// Kill job00's migration at the first precopy pass on every ninja
 		// attempt (Count = the retry budget): the first executor attempt
 		// ends in a rollback-in-place, which the executor must re-queue;
 		// the fault budget is spent by then, so the re-queued attempt lands.
-		pol := ninja.DefaultRetryPolicy()
-		inj := faults.NewInjector(d.K, faults.Plan{
-			Name: "fleet-forced-rollback", Seed: 1,
-			Specs: []faults.Spec{{
-				Kind: faults.KindMigrateAbort, Target: "j00v00",
-				At: trigger, Pass: 1, Count: pol.MaxAttempts,
-			}},
-		}, faults.Env{VMs: d.VMs(), Log: logInjection})
+		faultPlan.Specs = append(faultPlan.Specs, faults.Spec{
+			Kind: faults.KindMigrateAbort, Target: "j00v00",
+			Pass: 1, Count: ninja.DefaultRetryPolicy().MaxAttempts,
+		})
+	}
+	if !faultPlan.Empty() {
+		for i := range faultPlan.Specs {
+			faultPlan.Specs[i].At += trigger
+		}
+		var nodes []*hw.Node
+		for _, s := range d.Topo.Sites {
+			nodes = append(nodes, s.Nodes...)
+		}
+		nodes = append(nodes, d.SpareNodes...)
+		inj := faults.NewInjector(d.K, faultPlan, faults.Env{
+			VMs: d.VMs(), Nodes: nodes, Store: d.NFS,
+			Log: func(kind, subject, detail string) {
+				ex.Events().Record(metrics.EventFaultInjected, kind, subject, detail)
+			},
+		})
 		if err := inj.Arm(); err != nil {
 			return nil, err
 		}

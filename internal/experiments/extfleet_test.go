@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/ninja"
@@ -340,5 +341,44 @@ func TestFleetPlannerRejectsImpossibleDirectives(t *testing.T) {
 	}, d.Jobs)
 	if err == nil {
 		t.Fatal("impossible consolidation planned successfully")
+	}
+}
+
+// A fleet run's fault switches all join one plan on one injector. A VM
+// keeps only the last hooks installed on it, so with one injector per
+// switch the forced rollback on j00v00 used to disarm an extra plan's
+// fault on the same VM; both must fire.
+func TestFleetFaultSwitchesShareOneInjector(t *testing.T) {
+	res, err := RunFleetScenario(FleetConfig{Jobs: 2}, FleetScenario{
+		ForcedRollback: true,
+		ExtraFaults: &faults.Plan{Name: "detach-error", Seed: 1, Specs: []faults.Spec{{
+			Kind: faults.KindQMPError, Target: "j00v00", Arg: "device_del",
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := map[string]int{}
+	for _, e := range res.Report.Events {
+		if e.Kind == metrics.EventFaultInjected && e.Subject == "j00v00" {
+			fired[e.Phase]++
+		}
+	}
+	if fired[string(faults.KindQMPError)] != 1 {
+		t.Errorf("qmp-error fired %d times on j00v00, want 1", fired[string(faults.KindQMPError)])
+	}
+	if want := ninja.DefaultRetryPolicy().MaxAttempts; fired[string(faults.KindMigrateAbort)] != want {
+		t.Errorf("migrate-abort fired %d times on j00v00, want %d", fired[string(faults.KindMigrateAbort)], want)
+	}
+}
+
+// A rolling drain plans no batches up front, so it has no destination
+// for Faulted to crash: the run must refuse rather than quietly skip it.
+func TestRollingFaultedIsRejected(t *testing.T) {
+	_, err := RunFleetScenario(FleetConfig{Jobs: 2}, FleetScenario{
+		Kind: fleet.RollingMaintenance, MaxInFlight: 2, Faulted: true,
+	})
+	if err == nil || !strings.Contains(err.Error(), "faulted") {
+		t.Fatalf("rolling drain with faulted: err = %v, want a faulted error", err)
 	}
 }

@@ -53,8 +53,9 @@ type Spec struct {
 	// ReturnHome makes an evacuation bidirectional (site outage + return).
 	ReturnHome bool `json:"return_home,omitempty"`
 	// Faulted crashes a planned destination mid-directive (for kind
-	// "churn": the default node-crash plan); ForcedRollback forces job00
-	// into a rollback-in-place re-queue.
+	// "churn": the default node-crash plan; not valid for
+	// rolling-maintenance, which plans no batches up front);
+	// ForcedRollback forces job00 into a rollback-in-place re-queue.
 	Faulted        bool `json:"faulted,omitempty"`
 	ForcedRollback bool `json:"forced_rollback,omitempty"`
 	// Jobs / VMsPerJob size the fleet (defaults 8 × 2). For kind "sweep",
@@ -171,6 +172,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Kind == "rolling-maintenance" && s.ReturnHome {
 		return errors.New("return_home applies to evacuations only")
+	}
+	if s.Kind == "rolling-maintenance" && s.Faulted {
+		return errors.New("faulted applies to evacuate and churn only: a rolling drain has no planned batch to crash")
 	}
 	return nil
 }

@@ -25,10 +25,11 @@ go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 -fleet-drain-cap=2 >/dev/nu
 # ...and the time-expanded max-flow sequencing matrix (the alternate
 # planner drives the same executor through merged rounds).
 go run ./cmd/ninjabench -run=ext-fleet -fleet-jobs=3 -fleet-drain-cap=2 -fleet-seq=maxflow >/dev/null
-# RDMA-native ladder smoke under the race detector: every rung (clean QP
-# replay, the three injected demotions, the preflight demotion and the
-# hotplug baseline) on a 2-VM deployment.
-go run -race ./cmd/ninjabench -run=ext-rdma >/dev/null
+# Single-job fault smoke under the race detector: both matrices on the
+# shared 2-VM fault runner — every phase × fault row of ext-faults, and
+# every ext-rdma rung (clean QP replay, the three injected demotions, the
+# preflight demotion and the hotplug baseline).
+go run -race ./cmd/ninjabench -run=ext-faults,ext-rdma >/dev/null
 # Monte Carlo sweep smoke under the race detector: 5×3×2 = 30 cells run
 # twice (parallelism 1 and 8) with the byte-identity check — 60 runs, just
 # under the 64-run budget; a nondeterministic summary or a data race in
