@@ -13,7 +13,6 @@
 //	ninjabench -run=ext-sweep -sweep-seeds=32             # Monte Carlo fault sweep
 //	ninjabench -run=ext-sweep -sweep-par=8 -sweep-jobs=2  # fixed worker count
 //	ninjabench -run=table2,ext-fleet -json results.json
-//	ninjabench -scale-jobs=128                      # kernel scale sweep
 //	ninjabench -run=ext-fleet -cpuprofile fleet.pprof
 package main
 
@@ -30,7 +29,6 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
@@ -60,7 +58,6 @@ func run(ctx context.Context) int {
 	sweepPar := flag.Int("sweep-par", 0, "worker count for ext-sweep (0 = run at 1 and 8, verify byte-identical summaries, report speedup)")
 	sweepJobs := flag.Int("sweep-jobs", 0, "fleet size per ext-sweep cell (0 = default 4 jobs)")
 	jsonPath := flag.String("json", "", "also write the selected tables to this file as JSON")
-	scaleJobs := flag.Int("scale-jobs", 0, "run the synthetic fleet-scale kernel sweep up to this many jobs")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected runs to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the selected runs) to this file")
 	flag.Parse()
@@ -107,34 +104,17 @@ func run(ctx context.Context) int {
 		fmt.Println(t)
 	}
 
-	// -scale-jobs runs the kernel scale sweep on its own; combine with an
-	// explicit -run to also regenerate paper tables in the same (profiled)
-	// process.
-	runSet := *run != "all"
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "run" {
-			runSet = true
-		}
-	})
-
 	want := map[string]bool{}
-	switch {
-	case *run == "all" && *scaleJobs > 0 && !runSet:
-		// sweep only
-	case *run == "all":
+	if *run == "all" {
 		for _, id := range []string{"table1", "table2", "fig6", "fig7", "fig8a", "fig8b",
 			"ext-scalability", "ext-coldvslive", "ext-bypass", "ext-faults", "ext-rdma",
 			"ext-fleet", "ext-churn", "ext-sweep"} {
 			want[id] = true
 		}
-	default:
+	} else {
 		for _, id := range strings.Split(*run, ",") {
 			want[strings.TrimSpace(strings.ToLower(id))] = true
 		}
-	}
-
-	if *scaleJobs > 0 && ctx.Err() == nil {
-		emit(scaleSweep(*scaleJobs))
 	}
 
 	if want["table1"] && ctx.Err() == nil {
@@ -313,26 +293,4 @@ func runSweep(ctx context.Context, jobs, seeds, par int) (*metrics.Table, error)
 	fmt.Printf("ext-sweep: summaries byte-identical at parallelism 1 and 8; speedup %.2fx (wall-clock, %d CPU(s))\n",
 		seq.Wall.Elapsed.Seconds()/pool.Wall.Elapsed.Seconds(), runtime.NumCPU())
 	return pool.Summary.Render(), err
-}
-
-// scaleSweep runs FleetScaleSim at doubling fleet sizes up to maxJobs and
-// tabulates wall-clock throughput.
-func scaleSweep(maxJobs int) *metrics.Table {
-	t := metrics.NewTable("Kernel scale sweep (synthetic fleet, 200 iterations/job)",
-		"jobs", "events", "sim-end-s", "wall-ms", "events/sec")
-	for jobs := 8; ; jobs *= 2 {
-		if jobs > maxJobs {
-			jobs = maxJobs
-		}
-		start := time.Now()
-		res := experiments.FleetScaleSim(jobs, 0)
-		wall := time.Since(start)
-		t.AddRow(res.Jobs, res.Stats.Executed, res.End,
-			fmt.Sprintf("%.1f", float64(wall.Microseconds())/1e3),
-			fmt.Sprintf("%.0f", float64(res.Stats.Executed)/wall.Seconds()))
-		if jobs == maxJobs {
-			break
-		}
-	}
-	return t
 }

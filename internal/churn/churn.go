@@ -11,13 +11,19 @@
 //   - PolicyGreedy: capacity-driven first-fit in node order — the
 //     affinity-blind baseline an online bin-packer would produce.
 //   - PolicySwap: best-fit by interconnect affinity on arrival, plus, on
-//     every arrival and departure, up to MaxSwapsPerEvent affinity-
+//     every arrival and departure, up to maxSwapsPerEvent (2) affinity-
 //     improving moves (gang relocations into free capacity and pairwise
 //     destination swaps, after Avin et al., "Simple Destination-Swap
 //     Strategies for Adaptive Intra- and Inter-Tenant VM Migration").
 //     Each accepted move is priced through fleet.CostModel, sequenced
 //     with fleet.PlanSequence against the topology's shared links, and
 //     executed as an incremental mini-plan on the shared DES kernel.
+//
+// Placement and relocation share one gang-fit (first-fit over a node
+// order sorted once in New). A job still queued placeDeadline (60 s)
+// after arrival is rejected. Node crashes arm through one
+// faults.Injector over the engine's nodes, whose NodeDown/NodeUp hooks
+// evict and reinstate capacity.
 //
 // Everything runs on the simulated clock from one per-run PRNG: the
 // whole arrival schedule is drawn up front in a fixed order, decisions
@@ -191,31 +197,32 @@ func (w Workload) schedule() []arrival {
 	return out
 }
 
+const (
+	// maxSwapsPerEvent bounds the corrective moves proposed per arrival
+	// or departure under PolicySwap.
+	maxSwapsPerEvent = 2
+	// placeDeadline bounds a job's queue wait: a job still unplaced
+	// after this long is rejected and counted as a deadline miss.
+	placeDeadline = 60 * sim.Second
+)
+
 // Options configures one churn run.
 type Options struct {
 	// Workload is the seeded arrival process.
 	Workload Workload
 	// Policy selects greedy or destination-swap placement.
 	Policy Policy
-	// MaxSwapsPerEvent bounds the corrective moves proposed per arrival
-	// or departure under PolicySwap (default 2; ignored for greedy).
-	MaxSwapsPerEvent int
-	// PlaceDeadline bounds a job's queue wait: a job still unplaced
-	// after this long is rejected and counted as a deadline miss
-	// (default 60 s).
-	PlaceDeadline sim.Time
 	// Model prices swap and fault migrations (zero value → fleet
 	// defaults). Set Model.Cold to stream re-placements through the
 	// topology's NFS link.
 	Model fleet.CostModel
 	// Seq selects how mini-plan migrations overlap (default batched).
 	Seq fleet.SeqPolicy
-	// HealthPoll is the failed-node sweep interval while a fault plan is
-	// armed (default 5 s).
-	HealthPoll sim.Time
-	// Faults is the node-fault script. Only node-crash specs apply — an
+	// Faults is the node-fault script, armed through one faults.Injector
+	// over the topology's nodes. Only node-crash specs apply — an
 	// abstract churn job has no guest to aim a QMP or migrate-abort
-	// fault at — and unsupported kinds are skipped with a log line.
+	// fault at — so Validate rejects every other kind, and Run fails on
+	// a target that names no node.
 	Faults faults.Plan
 	// Log receives one line per engine decision (nil discards).
 	Log func(format string, args ...any)
@@ -223,15 +230,6 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	o.Workload = o.Workload.withDefaults()
-	if o.MaxSwapsPerEvent <= 0 {
-		o.MaxSwapsPerEvent = 2
-	}
-	if o.PlaceDeadline <= 0 {
-		o.PlaceDeadline = 60 * sim.Second
-	}
-	if o.HealthPoll <= 0 {
-		o.HealthPoll = 5 * sim.Second
-	}
 	if o.Seq == (fleet.SeqPolicy{}) {
 		o.Seq = fleet.SeqPolicy{Batched: true}
 	}
@@ -243,18 +241,14 @@ func (o Options) Validate() error {
 	if err := o.Workload.Validate(); err != nil {
 		return err
 	}
-	if o.MaxSwapsPerEvent < 0 {
-		return &OptionsError{Field: "Options.MaxSwapsPerEvent", Value: float64(o.MaxSwapsPerEvent),
-			Reason: "swap budget must not be negative (0 selects the default)"}
+	for i, s := range o.Faults.Specs {
+		if s.Kind != faults.KindNodeCrash {
+			return &OptionsError{Field: "Options.Faults", Value: float64(i),
+				Reason: fmt.Sprintf("spec %d is %s, but only %s applies to an abstract churn gang",
+					i, s.Kind, faults.KindNodeCrash)}
+		}
 	}
-	if o.PlaceDeadline < 0 {
-		return &OptionsError{Field: "Options.PlaceDeadline", Value: o.PlaceDeadline.Seconds(),
-			Reason: "placement deadline must not be negative (0 selects the default)"}
-	}
-	if err := o.Seq.Validate(); err != nil {
-		return err
-	}
-	return nil
+	return o.Seq.Validate()
 }
 
 // idealAffinity is the best per-VM score a job of this capability can

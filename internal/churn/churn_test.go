@@ -50,7 +50,10 @@ func runOnce(t *testing.T, opts Options) Report {
 }
 
 // runOn runs the engine to completion on an already built rig and closes
-// its kernel.
+// its kernel. Once the kernel drains, every node must be healthy again
+// with its books back at empty: full site slots, no resident memory and
+// no relocation reservation — whatever placement, relocation, eviction
+// and restore did in between.
 func runOn(t *testing.T, r *rig, opts Options) Report {
 	t.Helper()
 	defer r.k.Close()
@@ -58,9 +61,15 @@ func runOn(t *testing.T, r *rig, opts Options) Report {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	rep := eng.Run()
-	if !eng.Done().Done() {
-		t.Fatalf("engine did not finish: %+v", rep)
+	rep, err := eng.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, n := range eng.nodes {
+		if n.Failed() || eng.slots[n] != siteSlots(r.topo, n) || eng.mem[n] != 0 || eng.reserved[n] != 0 {
+			t.Fatalf("node %s after the run: failed=%v slots=%d (want %d) mem=%g reserved=%d",
+				n.Name, n.Failed(), eng.slots[n], siteSlots(r.topo, n), eng.mem[n], eng.reserved[n])
+		}
 	}
 	return rep
 }
@@ -214,6 +223,26 @@ func TestChurnNodeCrashEvictsAndReplaces(t *testing.T) {
 	}
 }
 
+// A crash aimed at a node outside the topology fails the run rather than
+// being skipped: New accepts it, and the injector's Arm inside Run
+// rejects the target. (A guest-level fault kind is an Options error; see
+// TestOptionsValidate.)
+func TestChurnRejectsInapplicableFaults(t *testing.T) {
+	plan, err := faults.ParsePlan("node-crash@30s:node=nope")
+	if err != nil {
+		t.Fatalf("ParsePlan: %v", err)
+	}
+	r := newRig(0)
+	defer r.k.Close()
+	eng, err := New(r.k, r.topo, Options{Workload: defaultWorkload(4), Faults: plan})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := eng.Run(); err == nil {
+		t.Fatal("churn run with an unknown crash target succeeded, want an error")
+	}
+}
+
 // Option validation rejects caller bugs with the typed error.
 func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
@@ -221,8 +250,11 @@ func TestOptionsValidate(t *testing.T) {
 		{Workload: Workload{ArrivalRate: -0.5}},
 		{Workload: Workload{IBFraction: 1.5}},
 		{Workload: Workload{MinLifetime: 10 * sim.Second, MaxLifetime: 5 * sim.Second}},
-		{MaxSwapsPerEvent: -1},
-		{PlaceDeadline: -sim.Second},
+		// A churn gang has no guest for a migrate-abort to hit.
+		{Faults: faults.Plan{Specs: []faults.Spec{
+			{Kind: faults.KindNodeCrash, At: 30 * sim.Second},
+			{Kind: faults.KindMigrateAbort, At: 30 * sim.Second},
+		}}},
 	}
 	for i, o := range bad {
 		err := o.Validate()

@@ -64,6 +64,8 @@ type Engine struct {
 	opts Options
 
 	nodes    []*hw.Node           // candidate order: site order, then node order
+	ibOrder  []*hw.Node           // nodes best-affinity first for an IB-capable gang (stable)
+	ethOrder []*hw.Node           // nodes best-affinity first for a TCP-only gang (stable)
 	slots    map[*hw.Node]int     // free placement slots
 	mem      map[*hw.Node]float64 // bytes of churn payload resident per node
 	reserved map[*hw.Node]int     // relocation reservations on the wire, per destination
@@ -77,12 +79,13 @@ type Engine struct {
 	cost    float64  // ∫ fleet affinity deficit dt (points·seconds)
 	rep     Report
 	stopped bool
-	done    *sim.Future[struct{}]
 }
 
 // New builds an engine over the topology. Sites are taken in topology
 // order and nodes in site order — the deterministic candidate order both
-// policies share.
+// policies share. The two affinity orders are sorted once here: a node's
+// fleet.Affinity depends only on the gang's IB capability and on whether
+// the node has an HCA, and both are fixed once the topology exists.
 func New(k *sim.Kernel, topo *fleet.Topology, opts Options) (*Engine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -95,7 +98,6 @@ func New(k *sim.Kernel, topo *fleet.Topology, opts Options) (*Engine, error) {
 		slots:    make(map[*hw.Node]int),
 		mem:      make(map[*hw.Node]float64),
 		reserved: make(map[*hw.Node]int),
-		done:     sim.NewFuture[struct{}](k),
 	}
 	for _, s := range topo.Sites {
 		for _, n := range s.Nodes {
@@ -106,7 +108,26 @@ func New(k *sim.Kernel, topo *fleet.Topology, opts Options) (*Engine, error) {
 	if len(e.nodes) == 0 {
 		return nil, fmt.Errorf("churn: topology has no nodes")
 	}
+	e.ibOrder, e.ethOrder = byAffinity(e.nodes, true), byAffinity(e.nodes, false)
 	return e, nil
+}
+
+// byAffinity returns the nodes stable-sorted best-affinity first for a
+// gang of the given IB capability.
+func byAffinity(nodes []*hw.Node, ib bool) []*hw.Node {
+	order := append([]*hw.Node(nil), nodes...)
+	sort.SliceStable(order, func(a, b int) bool {
+		return fleet.Affinity(ib, order[a]) > fleet.Affinity(ib, order[b])
+	})
+	return order
+}
+
+// affinityOrder is the candidate order best-affinity first for j.
+func (e *Engine) affinityOrder(j *job) []*hw.Node {
+	if j.ib {
+		return e.ibOrder
+	}
+	return e.ethOrder
 }
 
 func siteSlots(topo *fleet.Topology, n *hw.Node) int {
@@ -123,80 +144,53 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
-// Run schedules the whole workload and drives the kernel until every
-// job has departed or been rejected, then returns the report. The
-// caller owns the kernel; Run uses k.Run, so no other open-ended procs
-// should be left runnable.
-func (e *Engine) Run() Report {
-	e.Start()
-	e.k.Run()
-	return e.ReportNow()
-}
-
-// Start arms the workload on the kernel without driving it — for
-// callers interleaving churn with other simulated activity. Done
-// resolves when the run is complete.
-func (e *Engine) Start() {
-	sched := e.opts.Workload.schedule()
+// Run schedules the whole workload, arms the fault plan through one
+// faults.Injector over the engine's nodes, and drives the kernel until
+// every job has departed or been rejected. It returns the injector's Arm
+// error (e.g. a crash target not in the topology), or an error when the
+// kernel drains with jobs still unresolved. The caller owns the kernel;
+// Run uses k.Run, so no other open-ended procs should be left runnable.
+func (e *Engine) Run() (Report, error) {
 	e.rep.Policy = e.opts.Policy.String()
 	e.rep.Seed = e.opts.Workload.Seed
-	for i := range sched {
-		a := sched[i]
+	for _, a := range e.opts.Workload.schedule() {
 		e.k.ScheduleAt(a.at, func() { e.onArrival(a) })
 	}
-	e.armFaults()
-	if e.opts.Workload.Jobs == 0 {
-		e.finish()
+	in := faults.NewInjector(e.k, e.opts.Faults, faults.Env{
+		Nodes: e.nodes, NodeDown: e.nodeDown, NodeUp: e.nodeUp,
+	})
+	if err := in.Arm(); err != nil {
+		return Report{}, fmt.Errorf("churn: arming faults: %w", err)
 	}
+	e.k.Run()
+	if !e.stopped {
+		return Report{}, fmt.Errorf("churn: run incomplete (%d/%d jobs resolved)",
+			e.rep.Departed+e.rep.Rejected, e.rep.Arrived)
+	}
+	r := e.rep
+	r.CostIntegral = e.cost
+	if r.Duration > 0 {
+		r.AvgCost = e.cost / r.Duration.Seconds()
+	}
+	r.finalize()
+	return r, nil
 }
 
-// Done resolves once every job has departed or been rejected.
-func (e *Engine) Done() *sim.Future[struct{}] { return e.done }
-
-// armFaults schedules the plan's node-crash specs on the kernel.
-// Targets name nodes; an empty target picks the first node. Kinds that
-// need a guest VM or the shared store have nothing to bite on an
-// abstract churn gang and are skipped with a log line.
-func (e *Engine) armFaults() {
-	for _, s := range e.opts.Faults.Specs {
-		if s.Kind != faults.KindNodeCrash {
-			e.logf("churn: skipping %s fault (no guest-level surface in the churn engine)", s.Kind)
-			continue
-		}
-		n := e.pickNode(s.Target)
-		if n == nil {
-			e.logf("churn: node-crash target %q not in topology; skipped", s.Target)
-			continue
-		}
-		spec := s
-		e.k.ScheduleAt(spec.At, func() {
-			n.Fail()
-			e.rep.Faults++
-			e.logf("churn: %v node %s down", e.k.Now(), n.Name)
-			e.evictFrom(n)
-		})
-		if spec.For > 0 {
-			e.k.ScheduleAt(spec.At+spec.For, func() {
-				n.Restore()
-				e.reinstate(n)
-				e.logf("churn: %v node %s restored", e.k.Now(), n.Name)
-				e.drainQueue()
-				e.maybeSwap()
-			})
-		}
-	}
+// nodeDown is the injector's NodeDown hook: count the crash and evict
+// the gangs running on the node.
+func (e *Engine) nodeDown(n *hw.Node) {
+	e.rep.Faults++
+	e.logf("churn: %v node %s down", e.k.Now(), n.Name)
+	e.evictFrom(n)
 }
 
-func (e *Engine) pickNode(target string) *hw.Node {
-	if target == "" {
-		return e.nodes[0]
-	}
-	for _, n := range e.nodes {
-		if n.Name == target {
-			return n
-		}
-	}
-	return nil
+// nodeUp is the injector's NodeUp hook: rebuild the node's books, then
+// let queued jobs and corrective moves use it again.
+func (e *Engine) nodeUp(n *hw.Node) {
+	e.reinstate(n)
+	e.logf("churn: %v node %s restored", e.k.Now(), n.Name)
+	e.drainQueue()
+	e.maybeSwap()
 }
 
 // onArrival admits one job: place it now or queue it under the
@@ -218,7 +212,7 @@ func (e *Engine) enqueue(j *job) {
 	j.state = stateQueued
 	e.queue = append(e.queue, j)
 	jj := j
-	j.deadline = e.k.Schedule(e.opts.PlaceDeadline, func() { e.onDeadline(jj) })
+	j.deadline = e.k.Schedule(placeDeadline, func() { e.onDeadline(jj) })
 }
 
 // onDeadline rejects a job that waited out its placement deadline.
@@ -229,7 +223,7 @@ func (e *Engine) onDeadline(j *job) {
 	e.removeQueued(j)
 	j.state = stateRejected
 	e.rep.Rejected++
-	e.logf("churn: %v job %s rejected after %v in queue", e.k.Now(), j.name, e.opts.PlaceDeadline)
+	e.logf("churn: %v job %s rejected after %v in queue", e.k.Now(), j.name, placeDeadline)
 	e.checkDone()
 }
 
@@ -263,37 +257,39 @@ func (e *Engine) place(j *job) bool {
 	return true
 }
 
-// findSlots returns one healthy node per VM, respecting slot and memory
-// headroom, nil when the gang does not fit. A gang may spread across
-// nodes; a node with several free slots may hold several of its VMs.
+// findSlots places the gang against the live books: greedy first-fit in
+// candidate order, swap best-affinity first.
 func (e *Engine) findSlots(j *job) []*hw.Node {
 	order := e.nodes
 	if e.opts.Policy == PolicySwap {
-		order = append([]*hw.Node(nil), e.nodes...)
-		sort.SliceStable(order, func(a, b int) bool {
-			return fleet.Affinity(j.ib, order[a]) > fleet.Affinity(j.ib, order[b])
-		})
+		order = e.affinityOrder(j)
 	}
+	return e.fit(j, order, e.slots, e.mem)
+}
+
+// fit returns one healthy node per VM of j, first-fit in order against
+// the given free-slot and resident-memory books, or nil when the gang
+// does not fit. A gang may spread across nodes; a node with several
+// free slots may hold several of its VMs.
+func (e *Engine) fit(j *job, order []*hw.Node, slots map[*hw.Node]int, mem map[*hw.Node]float64) []*hw.Node {
 	vmBytes := e.opts.Workload.VMBytes
-	taken := make(map[*hw.Node]int)
-	var dsts []*hw.Node
+	dsts := make([]*hw.Node, 0, j.vms)
+vm:
 	for v := 0; v < j.vms; v++ {
-		placed := false
 		for _, n := range order {
-			if n.Failed() || e.slots[n]-taken[n] <= 0 {
+			taken := 0
+			for _, d := range dsts {
+				if d == n {
+					taken++
+				}
+			}
+			if n.Failed() || slots[n]-taken <= 0 || mem[n]+float64(taken+1)*vmBytes > n.MemoryBytes {
 				continue
 			}
-			if e.mem[n]+float64(taken[n]+1)*vmBytes > n.MemoryBytes {
-				continue
-			}
-			taken[n]++
 			dsts = append(dsts, n)
-			placed = true
-			break
+			continue vm
 		}
-		if !placed {
-			return nil
-		}
+		return nil
 	}
 	return dsts
 }
@@ -359,11 +355,10 @@ func (e *Engine) removeQueued(j *job) {
 //
 // Capacity released by an eviction goes back only to healthy nodes: a
 // VM's claim on failed hardware is stranded, not freed — dead nodes must
-// not appear to hold schedulable slots while down. (findSlots and
-// proposeGroups both skip Failed nodes as well, so this is
-// defense-in-depth for the books themselves; pickNode only resolves
-// fault targets and never places.) reinstate rebuilds the node's books
-// from ground truth when it restores.
+// not appear to hold schedulable slots while down. (fit skips Failed
+// nodes as well, so this is defense-in-depth for the books themselves.)
+// reinstate rebuilds the node's books from ground truth when it
+// restores.
 func (e *Engine) evictFrom(n *hw.Node) {
 	e.accrue()
 	evicted := false
@@ -425,7 +420,7 @@ func (e *Engine) reinstate(n *hw.Node) {
 	e.mem[n] = float64(held) * e.opts.Workload.VMBytes
 }
 
-// maybeSwap proposes up to MaxSwapsPerEvent affinity-improving move
+// maybeSwap proposes up to maxSwapsPerEvent affinity-improving move
 // groups and queues them as one priced mini-plan. Only one mini-plan is
 // on the wire at a time; further proposals are deferred until it lands
 // so they are always computed against fresh state. Relocation
@@ -461,7 +456,7 @@ func (e *Engine) maybeSwap() {
 // shadow of the current occupancy: gang relocations into free capacity
 // first, then pairwise destination exchanges between equal-shape gangs.
 // Earlier proposals update the shadow so later ones see their effect.
-// One group counts one move against the MaxSwapsPerEvent budget.
+// One group counts one move against the maxSwapsPerEvent budget.
 func (e *Engine) proposeGroups() []*moveGroup {
 	shadowSlots := make(map[*hw.Node]int, len(e.slots))
 	for n, s := range e.slots {
@@ -490,29 +485,11 @@ func (e *Engine) proposeGroups() []*moveGroup {
 	var groups []*moveGroup
 	// Relocations: best free slots strictly better than the current ones.
 	for _, j := range running {
-		if len(groups) >= e.opts.MaxSwapsPerEvent {
+		if len(groups) >= maxSwapsPerEvent {
 			return groups
 		}
-		order := append([]*hw.Node(nil), e.nodes...)
-		sort.SliceStable(order, func(a, b int) bool {
-			return fleet.Affinity(j.ib, order[a]) > fleet.Affinity(j.ib, order[b])
-		})
-		taken := make(map[*hw.Node]int)
-		var dst []*hw.Node
-		for v := 0; v < j.vms; v++ {
-			for _, n := range order {
-				if n.Failed() || shadowSlots[n]-taken[n] <= 0 {
-					continue
-				}
-				if shadowMem[n]+float64(taken[n]+1)*vmBytes > n.MemoryBytes {
-					continue
-				}
-				taken[n]++
-				dst = append(dst, n)
-				break
-			}
-		}
-		if len(dst) < j.vms || score(j, dst) <= score(j, loc[j]) {
+		dst := e.fit(j, e.affinityOrder(j), shadowSlots, shadowMem)
+		if dst == nil || score(j, dst) <= score(j, loc[j]) {
 			continue
 		}
 		for _, n := range loc[j] {
@@ -530,7 +507,7 @@ func (e *Engine) proposeGroups() []*moveGroup {
 	// sets when the summed affinity strictly rises. Slot counts per node
 	// are unchanged by an exchange; with uniform VMBytes so is memory.
 	for i := 0; i < len(running); i++ {
-		if len(groups) >= e.opts.MaxSwapsPerEvent {
+		if len(groups) >= maxSwapsPerEvent {
 			return groups
 		}
 		for jdx := i + 1; jdx < len(running); jdx++ {
@@ -728,23 +705,4 @@ func (e *Engine) finish() {
 	e.stopped = true
 	e.accrue()
 	e.rep.Duration = e.k.Now()
-	e.done.Set(struct{}{})
-}
-
-// ReportNow snapshots the report (final once Done has resolved). A
-// finished run keeps the finish-time duration even if the kernel ran
-// longer on unrelated events (e.g. a node-restore scheduled after the
-// last departure).
-func (e *Engine) ReportNow() Report {
-	e.accrue()
-	r := e.rep
-	if !e.stopped {
-		r.Duration = e.k.Now()
-	}
-	r.CostIntegral = e.cost
-	if r.Duration > 0 {
-		r.AvgCost = e.cost / r.Duration.Seconds()
-	}
-	r.finalize()
-	return r
 }

@@ -104,9 +104,6 @@ func DeployChurn(cfg ChurnConfig) *ChurnDeployment {
 type ChurnScenario struct {
 	// Policy selects greedy first-fit or adaptive destination-swap.
 	Policy churn.Policy
-	// MaxSwaps bounds corrective moves per arrival/departure event
-	// (0 = the churn default of 2).
-	MaxSwaps int
 	// Cold prices swap and re-placement migrations as checkpoint/restart
 	// through the shared NFS link (requires ChurnConfig.NFSBandwidth).
 	Cold bool
@@ -115,7 +112,8 @@ type ChurnScenario struct {
 	// mini-plan through the time-expanded max-flow planner.
 	Seq fleet.SeqPolicy
 	// Faults, when non-nil, is the node-fault script armed over the
-	// deployment (absolute sim times; only node-crash specs bite).
+	// deployment (absolute sim times; only node-crash specs apply, and
+	// any other kind fails the run).
 	Faults *faults.Plan
 }
 
@@ -177,12 +175,11 @@ func RunChurnScenarioWith(cfg ChurnConfig, sc ChurnScenario, logf func(format st
 	d := DeployChurn(cfg)
 	defer d.K.Close()
 	opts := churn.Options{
-		Workload:         cfg.Workload,
-		Policy:           sc.Policy,
-		MaxSwapsPerEvent: sc.MaxSwaps,
-		Model:            fleet.CostModel{Cold: sc.Cold},
-		Seq:              sc.Seq,
-		Log:              logf,
+		Workload: cfg.Workload,
+		Policy:   sc.Policy,
+		Model:    fleet.CostModel{Cold: sc.Cold},
+		Seq:      sc.Seq,
+		Log:      logf,
 	}
 	if sc.Faults != nil {
 		opts.Faults = *sc.Faults
@@ -191,10 +188,9 @@ func RunChurnScenarioWith(cfg ChurnConfig, sc ChurnScenario, logf func(format st
 	if err != nil {
 		return nil, err
 	}
-	rep := eng.Run()
-	if !eng.Done().Done() {
-		return nil, fmt.Errorf("experiments: churn %s: run incomplete (%d/%d jobs resolved)",
-			sc.Label(), rep.Departed+rep.Rejected, rep.Arrived)
+	rep, err := eng.Run()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: churn %s: %w", sc.Label(), err)
 	}
 	row := ChurnRow{
 		Scenario:     sc.Label(),

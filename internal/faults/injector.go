@@ -25,6 +25,12 @@ type Env struct {
 	// subject, detail) — wire it into the orchestrator's event log so
 	// injections appear on the same timeline as recoveries.
 	Log func(kind, subject, detail string)
+	// NodeDown and NodeUp, when non-nil, run right after a node-crash
+	// fails its node (after Log) and right after the node restores at
+	// At+For — the hooks through which a scheduler that keeps its own
+	// capacity books evicts and reinstates.
+	NodeDown func(*hw.Node)
+	NodeUp   func(*hw.Node)
 }
 
 // Injector binds a Plan to an environment and arms it on the simulation
@@ -188,9 +194,17 @@ func (in *Injector) Arm() error {
 			in.schedule(s.At, func() {
 				node.Fail()
 				in.log(s.Kind, node.Name, "node down")
+				if in.env.NodeDown != nil {
+					in.env.NodeDown(node)
+				}
 			})
 			if s.For > 0 {
-				in.schedule(s.At+s.For, func() { node.Restore() })
+				in.schedule(s.At+s.For, func() {
+					node.Restore()
+					if in.env.NodeUp != nil {
+						in.env.NodeUp(node)
+					}
+				})
 			}
 
 		default:

@@ -50,6 +50,45 @@ func TestInjectorNodeCrashAndRestore(t *testing.T) {
 	}
 }
 
+// NodeDown runs once, at At, on a node that already reads Failed;
+// NodeUp runs once, at At+For, after the restore cleared it. A crash
+// with no For never restores, so NodeUp never runs.
+func TestInjectorNodeHooks(t *testing.T) {
+	k := sim.NewKernel()
+	defer k.Close()
+	tb := hw.NewTestbed(k)
+	c := tb.AddCluster("c", 2, hw.AGCNodeSpec)
+	type call struct {
+		at     sim.Time
+		node   string
+		failed bool
+	}
+	var downs, ups []call
+	in := NewInjector(k, Plan{Specs: []Spec{
+		{Kind: KindNodeCrash, Target: c.Nodes[1].Name, At: sim.Second, For: 2 * sim.Second},
+		{Kind: KindNodeCrash, Target: c.Nodes[0].Name, At: 5 * sim.Second},
+	}}, Env{
+		Nodes:    c.Nodes,
+		NodeDown: func(n *hw.Node) { downs = append(downs, call{k.Now(), n.Name, n.Failed()}) },
+		NodeUp:   func(n *hw.Node) { ups = append(ups, call{k.Now(), n.Name, n.Failed()}) },
+	})
+	if err := in.Arm(); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	wantDowns := []call{{sim.Second, c.Nodes[1].Name, true}, {5 * sim.Second, c.Nodes[0].Name, true}}
+	wantUps := []call{{3 * sim.Second, c.Nodes[1].Name, false}}
+	if len(downs) != len(wantDowns) || downs[0] != wantDowns[0] || downs[1] != wantDowns[1] {
+		t.Fatalf("NodeDown calls %+v, want %+v", downs, wantDowns)
+	}
+	if len(ups) != len(wantUps) || ups[0] != wantUps[0] {
+		t.Fatalf("NodeUp calls %+v, want %+v (a crash with no For never restores)", ups, wantUps)
+	}
+	if !c.Nodes[0].Failed() {
+		t.Fatal("node with For == 0 restored")
+	}
+}
+
 func TestInjectorNFSOutageWindow(t *testing.T) {
 	k := sim.NewKernel()
 	nfs := storage.NewNFS("nfs0")

@@ -10,6 +10,16 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+# One fault path: faults.Injector is the only code that fails or restores
+# a node. A .Fail()/.Restore() call in any other non-test Go file would be
+# a second fault scheduler, so it fails the gate.
+stray=$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=.git \
+    --exclude-dir=.bench_build '\.(Fail|Restore)\(\)' . | grep -v '^\./internal/faults/' || true)
+if [ -n "$stray" ]; then
+    echo "node Fail/Restore called outside internal/faults:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
 go build ./...
 go vet ./...
 go test -race ./...
