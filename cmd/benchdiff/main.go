@@ -19,6 +19,12 @@
 // Only metrics present in the input are compared, so a smoke run over a
 // benchmark subset checks just that subset. A metric in the input but not
 // in the baseline is an error (run -update after intentionally adding one).
+//
+// With -wall, the dated file also gets a wall section: one perfbench
+// result per workload, read from lines of "<workload> <result JSON>".
+// benchdiff then prints each end-to-end wall-clock metric against the
+// newest earlier BENCH_*.json beside the -write file that has a wall
+// section. Those deltas are informational only and never gate.
 package main
 
 import (
@@ -28,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,7 +50,11 @@ func main() {
 	write := flag.String("write", "", "also write the observed metrics to this file as JSON")
 	update := flag.Bool("update", false, "overwrite the baseline with the observed metrics instead of comparing")
 	tol := flag.Float64("tol", 1e-6, "relative tolerance for metric comparison")
+	wallPath := flag.String("wall", "", "perfbench results (\"<workload> <result JSON>\" lines) for the wall section of the -write file")
 	flag.Parse()
+	if *wallPath != "" && *write == "" {
+		fatal("-wall needs -write")
+	}
 
 	observed, err := parseBench(os.Stdin)
 	if err != nil {
@@ -54,10 +65,19 @@ func main() {
 	}
 
 	if *write != "" {
-		if err := writeJSON(*write, observed); err != nil {
+		rec := benchFile{Metrics: observed}
+		if *wallPath != "" {
+			if rec.Wall, err = readWall(*wallPath); err != nil {
+				fatal("%v", err)
+			}
+		}
+		if err := writeJSON(*write, rec); err != nil {
 			fatal("%v", err)
 		}
 		fmt.Fprintf(os.Stderr, "benchdiff: wrote %d metric(s) to %s\n", len(observed), *write)
+		if rec.Wall != nil {
+			printWallDeltas(*write, rec.Wall)
+		}
 	}
 	if *update {
 		if err := writeJSON(*baseline, observed); err != nil {
@@ -151,10 +171,105 @@ func within(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-func writeJSON(path string, m map[string]float64) error {
-	out, err := json.MarshalIndent(m, "", "  ")
+func writeJSON(path string, v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
+// benchFile is a dated BENCH_<date>.json: the simulated metrics, plus the
+// perfbench result of each workload when the run measured wall clock.
+// Files from before the wall section hold the metrics map alone.
+type benchFile struct {
+	Metrics map[string]float64    `json:"metrics"`
+	Wall    map[string]wallResult `json:"wall,omitempty"`
+}
+
+// wallResult is perfbench's JSON result line.
+type wallResult struct {
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
+	} `json:"metrics"`
+}
+
+// endToEnd are perfbench's end-to-end metrics, in its print order.
+var endToEnd = []string{"setup_s", "ops_per_s", "latency_p50_ms", "peak_rss_mb"}
+
+// readWall reads "<workload> <perfbench result JSON>" lines.
+func readWall(path string) (map[string]wallResult, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]wallResult{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, js, ok := strings.Cut(line, " ")
+		var res wallResult
+		if !ok || json.Unmarshal([]byte(js), &res) != nil || len(res.Metrics) == 0 {
+			return nil, fmt.Errorf("%s: want \"<workload> <perfbench result JSON>\", got %q", path, line)
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("%s: workload %s twice", path, name)
+		}
+		out[name] = res
+	}
+	return out, nil
+}
+
+// earlierWall returns the newest BENCH_*.json beside path, older than it
+// by name (the names carry the date), that has a wall section.
+func earlierWall(path string) (string, map[string]wallResult) {
+	files, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "BENCH_*.json"))
+	sort.Strings(files)
+	for i := len(files) - 1; i >= 0; i-- {
+		if filepath.Base(files[i]) >= filepath.Base(path) {
+			continue
+		}
+		data, err := os.ReadFile(files[i])
+		var rec benchFile
+		if err == nil && json.Unmarshal(data, &rec) == nil && rec.Wall != nil {
+			return files[i], rec.Wall
+		}
+	}
+	return "", nil
+}
+
+// printWallDeltas prints every end-to-end metric of wall beside its value
+// in the newest earlier wall section. Informational only: the host's
+// drift (up to about 30%, see perfbench/README.md) dwarfs a 1e-6 gate.
+func printWallDeltas(path string, wall map[string]wallResult) {
+	prevPath, prev := earlierWall(path)
+	if prev == nil {
+		fmt.Fprintf(os.Stderr, "benchdiff: wall clock (no earlier BENCH file has a wall section):\n")
+	} else {
+		fmt.Fprintf(os.Stderr, "benchdiff: wall clock vs %s (informational; host drift up to ~30%%):\n", prevPath)
+	}
+	names := make([]string, 0, len(wall))
+	for n := range wall {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		res := wall[n]
+		if !res.Correct || res.Failed > 0 {
+			fmt.Fprintf(os.Stderr, "  %-8s correct=%v failed %d of %d\n", n, res.Correct, res.Failed, res.Attempted)
+		}
+		for _, m := range endToEnd {
+			cur, ok := res.Metrics[m]
+			if !ok {
+				continue
+			}
+			line := fmt.Sprintf("  %-8s %-15s %12.4g %s", n, m, cur.Value, cur.Unit)
+			if old, ok := prev[n].Metrics[m]; ok && old.Value != 0 {
+				line += fmt.Sprintf("  (was %.4g, %+.1f%%)", old.Value, 100*(cur.Value/old.Value-1))
+			}
+			fmt.Fprintln(os.Stderr, line)
+		}
+	}
 }

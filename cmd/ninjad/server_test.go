@@ -125,9 +125,26 @@ func TestSubmitLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("no fleet events on the trail: %+v", rec.Events)
 	}
 
+	// The listing is a summary: the result and the trail stay at
+	// GET /jobs/{id}.
 	code, body = httpJSON(t, "GET", base+"/jobs", "")
-	if code != http.StatusOK || !bytes.Contains(body, []byte(`"evac-1"`)) {
+	var list struct {
+		Jobs []map[string]json.RawMessage `json:"jobs"`
+	}
+	if code != http.StatusOK {
 		t.Fatalf("list = %d: %s", code, body)
+	}
+	if err := json.Unmarshal(body, &list); err != nil || len(list.Jobs) != 1 {
+		t.Fatalf("list = %v: %s", err, body)
+	}
+	job := list.Jobs[0]
+	if string(job["id"]) != `"evac-1"` || string(job["state"]) != `"done"` {
+		t.Fatalf("list entry = %s", body)
+	}
+	for _, heavy := range []string{"result", "events", "directive"} {
+		if _, ok := job[heavy]; ok {
+			t.Fatalf("list entry carries %q: %s", heavy, body)
+		}
 	}
 }
 

@@ -162,6 +162,17 @@ type Record struct {
 	Events          []Event         `json:"events,omitempty"`
 }
 
+// Summary is one job's line in a listing: its identity and lifecycle
+// position, without the directive, result or event trail a Record carries.
+type Summary struct {
+	ID        string    `json:"id"`
+	State     State     `json:"state"`
+	Submitted time.Time `json:"submitted"`
+	Updated   time.Time `json:"updated"`
+	Attempts  int       `json:"attempts,omitempty"`
+	Error     string    `json:"error,omitempty"`
+}
+
 // Clone returns a deep-enough copy for handing outside the manager's
 // lock: the event slice and raw JSON are copied, so later appends or
 // transitions cannot race a reader.

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,15 +266,22 @@ func (m *Manager) Get(id string) (Record, error) {
 	return r.Clone(), nil
 }
 
-// List returns snapshots of every job, in submission order.
-func (m *Manager) List() []Record {
+// List returns a summary of every job, in submission order. The full
+// record of one job is Get's.
+func (m *Manager) List() []Summary {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Record, 0, len(m.recs))
+	out := make([]Summary, 0, len(m.recs))
 	for _, r := range m.recs {
-		out = append(out, r.Clone())
+		out = append(out, Summary{ID: r.ID, State: r.State, Submitted: r.Submitted,
+			Updated: r.Updated, Attempts: r.Attempts, Error: r.Error})
 	}
-	sortRecords(out)
+	m.mu.Unlock()
+	slices.SortFunc(out, func(a, b Summary) int {
+		if c := a.Submitted.Compare(b.Submitted); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ID, b.ID)
+	})
 	return out
 }
 
@@ -733,17 +742,4 @@ func compactJSON(raw json.RawMessage) (json.RawMessage, error) {
 		return nil, err
 	}
 	return json.RawMessage(buf.Bytes()), nil
-}
-
-func sortRecords(recs []Record) {
-	for i := 1; i < len(recs); i++ { // insertion sort: lists are small
-		for j := i; j > 0; j-- {
-			a, b := &recs[j-1], &recs[j]
-			if a.Submitted.Before(b.Submitted) ||
-				(a.Submitted.Equal(b.Submitted) && a.ID <= b.ID) {
-				break
-			}
-			recs[j-1], recs[j] = recs[j], recs[j-1]
-		}
-	}
 }

@@ -64,8 +64,8 @@ func (e Event) Pending() bool {
 }
 
 // Kernel is a discrete-event simulation engine. A Kernel is not safe for
-// concurrent use from multiple OS-level goroutines except through the
-// Proc handoff protocol it manages itself.
+// concurrent use from multiple OS-level goroutines; its processes run as
+// coroutines (iter.Pull) that the kernel loop resumes one at a time.
 type Kernel struct {
 	now       Time
 	seq       uint64
@@ -73,7 +73,6 @@ type Kernel struct {
 	scheduled uint64
 	executed  uint64
 	cancelled uint64
-	yield     chan struct{} // procs signal here when they park or exit
 	procs     map[*Proc]struct{}
 	running   bool
 	stopReq   bool // cooperative Stop() requested; consumed by RunUntil
@@ -84,10 +83,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at the epoch.
 func NewKernel() *Kernel {
-	return &Kernel{
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
-	}
+	return &Kernel{procs: make(map[*Proc]struct{})}
 }
 
 // Stats returns scheduler activity counters (for profiling and the
@@ -200,10 +196,11 @@ func (k *Kernel) PendingEvents() int { return k.q.n }
 // not yet exited (including parked ones).
 func (k *Kernel) LiveProcs() int { return len(k.procs) }
 
-// Close terminates every parked process by unwinding its goroutine, then
-// marks the kernel unusable. It is safe to call after Run returns; it lets
-// tests assert no goroutines leak. Close must not be called from within a
-// simulation event.
+// Close stops every live process's coroutine, then marks the kernel
+// unusable: a parked process unwinds from its blocking point, and one that
+// never ran is discarded without running. It is safe to call after Run
+// returns; it lets tests assert no goroutines leak. Close must not be
+// called from within a simulation event.
 func (k *Kernel) Close() {
 	if k.running {
 		panic("sim: Close called from inside the simulation")
@@ -213,11 +210,7 @@ func (k *Kernel) Close() {
 	}
 	k.closed = true
 	for p := range k.procs {
-		if p.parked {
-			p.killed = true
-			p.resume <- struct{}{}
-			<-k.yield
-		}
+		p.stop()
 	}
 	k.procs = nil
 	k.q = wheelQueue{}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -235,6 +237,58 @@ func TestCloseUnblocksParkedProcs(t *testing.T) {
 	if k.LiveProcs() != 0 {
 		t.Fatalf("LiveProcs after Close = %d, want 0", k.LiveProcs())
 	}
+}
+
+// Close must also end the coroutines of procs that Go created but the
+// kernel never stepped: here RunUntil stops before their first step, so
+// each one still waits for its start when Close runs.
+func TestCloseUnwindsUnstartedProcs(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := NewKernel()
+	k.Schedule(0, func() {
+		for i := 0; i < 5; i++ {
+			k.Go("unstarted", func(p *Proc) { t.Error("unstarted proc ran") })
+		}
+		k.Stop()
+	})
+	k.Run()
+	if k.LiveProcs() != 5 {
+		t.Fatalf("LiveProcs = %d, want 5 unstarted", k.LiveProcs())
+	}
+	k.Close()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines after Close = %d, want baseline %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A runtime.Goexit in a proc body (t.FailNow, say) is not a normal return:
+// it ends the goroutine that runs the kernel, so Run never returns, and
+// Done stays unresolved.
+func TestProcGoexitEndsRunGoroutine(t *testing.T) {
+	k := NewKernel()
+	exiting := k.Go("exits", func(p *Proc) {
+		p.Sleep(Second)
+		runtime.Goexit()
+	})
+	returned, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		k.Run()
+		close(returned)
+	}()
+	<-exited
+	select {
+	case <-returned:
+		t.Fatal("Run returned after a proc called runtime.Goexit")
+	default:
+	}
+	if exiting.Done().Done() {
+		t.Fatal("Done resolved for a proc that called runtime.Goexit")
+	}
+	k.Close()
 }
 
 func TestDeterminism(t *testing.T) {

@@ -1,77 +1,61 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procKilled is the sentinel panic value used to unwind a parked process
 // when the kernel is closed.
 type procKilled struct{}
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with other processes only at explicit blocking points (Sleep, waits on
-// sync primitives). Between blocking points a process runs to completion,
-// so model code needs no locking.
+// Proc is a simulated process: a coroutine (iter.Pull) whose execution is
+// interleaved with other processes only at explicit blocking points (Sleep,
+// waits on sync primitives). Between blocking points a process runs to
+// completion, so model code needs no locking.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-	parked bool
-	killed bool
-	doneF  *Future[struct{}]
+	k    *Kernel
+	name string
+	// step transfers control to the process until it parks or exits. It
+	// must only be called from event context (the kernel loop). It is made
+	// once, so every wakeup schedules the same func value.
+	step  func()
+	stop  func()
+	yield func(struct{}) bool
+	doneF *Future[struct{}]
 }
 
 // Go starts fn as a new simulated process. The process begins executing at
 // the current simulated time, after all already-queued events for this
 // instant. The returned Proc can be waited on via Done.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		resume: make(chan struct{}),
-		doneF:  NewFuture[struct{}](k),
-	}
+	p := &Proc{k: k, name: name, doneF: NewFuture[struct{}](k)}
 	k.procs[p] = struct{}{}
-	go func() {
-		<-p.resume // wait for first scheduling
+	next, stop := iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			r := recover()
 			delete(k.procs, p)
-			if r != nil {
-				if _, ok := r.(procKilled); ok {
-					// Kernel shutdown: unwind silently. Close() performs
-					// the handoff receive itself.
-					k.yield <- struct{}{}
-					return
-				}
+			// A procKilled panic is Close unwinding a parked process.
+			if r := recover(); r != nil && r != (procKilled{}) {
 				k.failure = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
-			} else {
-				p.doneF.Set(struct{}{})
 			}
-			k.yield <- struct{}{}
 		}()
-		if p.killed {
-			panic(procKilled{})
-		}
 		fn(p)
-	}()
-	k.Schedule(0, func() { p.step() })
+		// Only a normal return resolves Done: a runtime.Goexit in fn
+		// propagates out of next to the goroutine running the kernel.
+		p.doneF.Set(struct{}{})
+	})
+	p.step, p.stop = func() { next() }, stop
+	k.Schedule(0, p.step)
 	return p
 }
 
-// step transfers control to the process and waits for it to park or exit.
-// It must only be called from event context (the kernel loop).
-func (p *Proc) step() {
-	p.parked = false
-	p.resume <- struct{}{}
-	<-p.k.yield
-}
-
 // park suspends the process until some event calls step. It must only be
-// called from the process's own goroutine.
+// called from the process itself.
 func (p *Proc) park() {
-	p.parked = true
-	p.k.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -95,7 +79,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.Schedule(d, func() { p.step() })
+	p.k.Schedule(d, p.step)
 	p.park()
 }
 

@@ -36,8 +36,7 @@ func (f *Future[T]) Set(v T) {
 	cbs := f.cbs
 	f.cbs = nil
 	for _, p := range waiters {
-		p := p
-		f.k.Schedule(0, func() { p.step() })
+		f.k.Schedule(0, p.step)
 	}
 	for _, cb := range cbs {
 		cb := cb
@@ -151,7 +150,7 @@ func (c *Chan[T]) Close() {
 		for _, r := range recvq {
 			r := r
 			r.set = true
-			c.k.Schedule(0, func() { r.p.step() })
+			c.k.Schedule(0, r.p.step)
 		}
 	}
 }
@@ -170,7 +169,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		r := c.recvq[0]
 		c.recvq = c.recvq[1:]
 		r.val, r.ok, r.set = v, true, true
-		c.k.Schedule(0, func() { r.p.step() })
+		c.k.Schedule(0, r.p.step)
 		return
 	}
 	if len(c.buf) < c.cap {
@@ -197,7 +196,7 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 			c.sendq = c.sendq[1:]
 			c.buf = append(c.buf, s.val)
 			s.ok = true
-			c.k.Schedule(0, func() { s.p.step() })
+			c.k.Schedule(0, s.p.step)
 		}
 		return v, true
 	}
@@ -205,7 +204,7 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 		s := c.sendq[0]
 		c.sendq = c.sendq[1:]
 		s.ok = true
-		c.k.Schedule(0, func() { s.p.step() })
+		c.k.Schedule(0, s.p.step)
 		return s.val, true
 	}
 	if c.closed {
@@ -231,7 +230,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 			c.sendq = c.sendq[1:]
 			c.buf = append(c.buf, s.val)
 			s.ok = true
-			c.k.Schedule(0, func() { s.p.step() })
+			c.k.Schedule(0, s.p.step)
 		}
 		return v, true
 	}
@@ -239,7 +238,7 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 		s := c.sendq[0]
 		c.sendq = c.sendq[1:]
 		s.ok = true
-		c.k.Schedule(0, func() { s.p.step() })
+		c.k.Schedule(0, s.p.step)
 		return s.val, true
 	}
 	var zero T
@@ -267,8 +266,7 @@ func (wg *WaitGroup) Add(n int) {
 		waiters := wg.waiters
 		wg.waiters = nil
 		for _, p := range waiters {
-			p := p
-			wg.k.Schedule(0, func() { p.step() })
+			wg.k.Schedule(0, p.step)
 		}
 	}
 }
@@ -309,7 +307,7 @@ func (c *Cond) Signal() {
 	}
 	p := c.waiters[0]
 	c.waiters = c.waiters[1:]
-	c.k.Schedule(0, func() { p.step() })
+	c.k.Schedule(0, p.step)
 }
 
 // Broadcast wakes every waiting process.
@@ -317,8 +315,7 @@ func (c *Cond) Broadcast() {
 	waiters := c.waiters
 	c.waiters = nil
 	for _, p := range waiters {
-		p := p
-		c.k.Schedule(0, func() { p.step() })
+		c.k.Schedule(0, p.step)
 	}
 }
 
@@ -370,7 +367,7 @@ func (s *Semaphore) Release(n int) {
 		s.waiters = s.waiters[1:]
 		s.tokens -= w.n
 		p := w.p
-		s.k.Schedule(0, func() { p.step() })
+		s.k.Schedule(0, p.step)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock and executes events in (time, sequence)
-// order. Simulated processes are ordinary goroutines, but the kernel enforces
-// a strict handoff discipline: at most one goroutine (either the kernel loop
-// or a single process) is runnable at any instant, so simulations are fully
-// deterministic and race-free without locks in model code.
+// order. Simulated processes are coroutines (iter.Pull): the kernel loop
+// hands control to one process at a time and takes it back when that
+// process blocks, so at most one of them runs at any instant and
+// simulations are fully deterministic and race-free without locks in model
+// code.
 package sim
 
 import (

@@ -7,6 +7,11 @@
 # cmd/benchdiff. Wall-clock metrics (ns/op, events/sec, runs/sec) are
 # informational only and never compared.
 #
+# The full suite also runs the wall-clock benchmark (perfbench/run.sh
+# --trace 0, 25 s per workload) and records its four result lines in the
+# wall section of BENCH_<date>.json. benchdiff prints them against the
+# newest earlier BENCH file that has one; they never gate.
+#
 # Usage:
 #   scripts/bench.sh            # full suite; writes BENCH_<date>.json
 #   scripts/bench.sh --smoke    # fast subset (Table 2 / Fig 6 / ablations)
@@ -36,11 +41,16 @@ case "$mode" in
 esac
 
 out=$(mktemp)
-trap 'rm -f "$out"' EXIT
+wall=$(mktemp)
+trap 'rm -f "$out" "$wall" "$wall.run"' EXIT
 go test -run '^$' -bench "$pattern" -benchtime 1x . | tee "$out"
 
 if [ "$mode" = "" ]; then
-    diffargs="-write BENCH_$(date +%F).json"
+    for w in paper sweep churn control; do
+        bash perfbench/run.sh --workload "$w" --seconds 25 --trace 0 >"$wall.run"
+        printf '%s %s\n' "$w" "$(tail -n 1 "$wall.run")" >>"$wall"
+    done
+    diffargs="-write BENCH_$(date +%F).json -wall $wall"
 fi
 # shellcheck disable=SC2086
 go run ./cmd/benchdiff $diffargs <"$out"
